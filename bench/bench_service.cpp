@@ -40,9 +40,8 @@
 /// byte-identical to cold — the acceptance gate is identical=true (the
 /// speedup is recorded; it sits around 3-4x now that interning made
 /// cold inference cheaper) — the open-loop latency-vs-offered-load
-/// curve with per-rate shed counts and the speedup of the saturation
-/// rate over the thread-per-connection-era 9 rps baseline, plus the
-/// request-telemetry view: a per-phase (queue/parse/fingerprint/
+/// curve with per-rate shed counts and the calibrated saturation rate,
+/// plus the request-telemetry view: a per-phase (queue/parse/fingerprint/
 /// analyze/render) latency breakdown scraped from the daemon's own
 /// `metrics` op, and the telemetry overhead measured by running the
 /// warm leg against two daemons in alternating batches, one with
@@ -613,10 +612,7 @@ int main(int Argc, char **Argv) {
                               /*Clients=*/4, Quick ? 60 : 200,
                               /*Force=*/false);
   double SatRps = Calib.throughput();
-  const double BaselineRps = 9.0; // thread-per-connection-era warm rps
-  std::printf("open-loop calibration: saturation %.0f req/s "
-              "(%.0fx the %.0f rps thread-per-connection baseline)\n",
-              SatRps, SatRps / BaselineRps, BaselineRps);
+  std::printf("open-loop calibration: saturation %.0f req/s\n", SatRps);
 
   Json LoadReq = Json::object();
   LoadReq.set("op", Json::string("analyze"));
@@ -681,9 +677,6 @@ int main(int Argc, char **Argv) {
   Root.set("edit", std::move(Edit));
   Json OpenLoop = Json::object();
   OpenLoop.set("saturation_rps", Json::number(SatRps));
-  OpenLoop.set("baseline_rps", Json::number(BaselineRps));
-  OpenLoop.set("speedup_vs_baseline",
-               Json::number(BaselineRps > 0 ? SatRps / BaselineRps : 0));
   OpenLoop.set("connections", Json::integer(LoadConns));
   OpenLoop.set("daemon_event_loops", Json::integer(LoadOpts.EventLoops));
   OpenLoop.set("daemon_workers", Json::integer(LoadOpts.Workers));

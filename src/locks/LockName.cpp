@@ -27,8 +27,7 @@ bool LockName::leq(const LockName &Other) const {
   if (Other.K == Kind::Coarse)
     return Region != InvalidRegion && Region == Other.Region;
   // Other is fine: only a fine lock over the identical path is below it.
-  return K == Kind::Fine && Region == Other.Region &&
-         samePath(Node, Other.Node);
+  return K == Kind::Fine && Region == Other.Region && Node == Other.Node;
 }
 
 bool LockName::sameLockIgnoringEffect(const LockName &Other) const {
@@ -40,7 +39,7 @@ bool LockName::sameLockIgnoringEffect(const LockName &Other) const {
   case Kind::Coarse:
     return Region == Other.Region;
   case Kind::Fine:
-    return Region == Other.Region && samePath(Node, Other.Node);
+    return Region == Other.Region && Node == Other.Node;
   }
   return false;
 }

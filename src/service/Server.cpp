@@ -167,24 +167,20 @@ bool Server::start(std::string &Err) {
         "service.connections", "service.timeouts"})
     obs::metrics().counter(Name);
 
-  if (Opts.Model == ServerOptions::ServiceModel::EventLoop) {
-    unsigned NumLoops = std::max(1u, Opts.EventLoops);
-    for (unsigned I = 0; I < NumLoops; ++I) {
-      EventLoop::Config C;
-      C.Index = I;
-      C.ReadTimeoutMs = Opts.ReadTimeoutMs;
-      C.EdgeTriggered = Opts.EdgeTriggered;
-      C.UsePoll = Opts.UsePollBackend;
-      C.Faults = Opts.Faults;
-      auto L = std::make_unique<EventLoop>(std::move(C), *this);
-      if (!L->start(Err)) {
-        for (auto &Started : Loops)
-          Started->beginDrain();
-        Loops.clear();
-        return false;
-      }
-      Loops.push_back(std::move(L));
+  unsigned NumLoops = std::max(1u, Opts.EventLoops);
+  for (unsigned I = 0; I < NumLoops; ++I) {
+    EventLoop::Config C;
+    C.Index = I;
+    C.ReadTimeoutMs = Opts.ReadTimeoutMs;
+    C.Faults = Opts.Faults;
+    auto L = std::make_unique<EventLoop>(std::move(C), *this);
+    if (!L->start(Err)) {
+      for (auto &Started : Loops)
+        Started->beginDrain();
+      Loops.clear();
+      return false;
     }
+    Loops.push_back(std::move(L));
   }
 
   StartTime = std::chrono::steady_clock::now();
@@ -227,38 +223,19 @@ void Server::beginDrain() {
     obs::log()
         .event(obs::LogLevel::Info, "service.drain_begin")
         .num("requests_served", requestsServed());
-  if (Opts.Model == ServerOptions::ServiceModel::EventLoop) {
-    for (auto &L : Loops)
-      L->beginDrain();
-    return;
-  }
-  // Half-close every connection's read side: requests already read keep
-  // running to completion and their responses still flush through the
-  // intact write side; blocked readers see EOF and wind down.
-  std::lock_guard<std::mutex> Lock(ConnMu);
-  for (int Fd : ConnFds)
-    ::shutdown(Fd, SHUT_RD);
+  for (auto &L : Loops)
+    L->beginDrain();
 }
 
 void Server::run() {
   acceptLoop();
 
   // Drain phase 1: every in-flight request finishes (workers are still
-  // running) and its response flushes before the connection owners exit.
-  if (Opts.Model == ServerOptions::ServiceModel::EventLoop) {
-    for (auto &L : Loops)
-      L->beginDrain(); // idempotent; covers requestShutdown-less exits
-    for (auto &L : Loops)
-      L->join();
-  } else {
-    std::vector<std::thread> Threads;
-    {
-      std::lock_guard<std::mutex> Lock(ConnMu);
-      Threads.swap(ConnThreads);
-    }
-    for (std::thread &T : Threads)
-      T.join();
-  }
+  // running) and its response flushes before the event loops exit.
+  for (auto &L : Loops)
+    L->beginDrain(); // idempotent; covers requestShutdown-less exits
+  for (auto &L : Loops)
+    L->join();
 
   // Drain phase 2: the queue is necessarily empty now (every enqueued
   // job's Done ran before its connection wound down), so the workers can
@@ -347,27 +324,14 @@ void Server::acceptLoop() {
         obs::log()
             .event(obs::LogLevel::Debug, "service.connect")
             .str("peer", Peer);
-      if (Opts.Model == ServerOptions::ServiceModel::EventLoop) {
-        Loops[NextLoopIdx++ % Loops.size()]->adoptConnection(
-            Client, std::move(Peer));
-        continue;
-      }
-      std::lock_guard<std::mutex> Lock(ConnMu);
-      if (Draining.load(std::memory_order_acquire)) {
-        ::close(Client);
-        continue;
-      }
-      ConnFds.push_back(Client);
-      ConnThreads.emplace_back(
-          [this, Client, Peer = std::move(Peer)]() mutable {
-            serveConnection(Client, std::move(Peer));
-          });
+      Loops[NextLoopIdx++ % Loops.size()]->adoptConnection(
+          Client, std::move(Peer));
     }
   }
 }
 
 //===----------------------------------------------------------------------===//
-// Event-loop model: frame dispatch and response retirement
+// Frame dispatch and response retirement
 //===----------------------------------------------------------------------===//
 
 void Server::onFrame(EventLoop &Loop, uint64_t ConnId, uint64_t Seq,
@@ -375,9 +339,8 @@ void Server::onFrame(EventLoop &Loop, uint64_t ConnId, uint64_t Seq,
   Json Request;
   std::string Err;
   if (!Json::parse(Frame, Request, Err)) {
-    // Same contract as the blocking path: answer with the parse error,
-    // then drop the connection — framing is unrecoverable after a
-    // malformed payload.
+    // Answer with the parse error, then drop the connection — framing
+    // is unrecoverable after a malformed payload.
     if constexpr (obs::kEnabled)
       obs::log()
           .event(obs::LogLevel::Warn, "service.bad_frame")
@@ -425,74 +388,6 @@ void Server::onResponseDone(std::unique_ptr<obs::RequestContext> Ctx,
   if (!Aborted && Counted)
     Served.fetch_add(1, std::memory_order_relaxed);
   finalizeRequest(std::move(Ctx), Aborted);
-}
-
-//===----------------------------------------------------------------------===//
-// Legacy thread-per-connection model
-//===----------------------------------------------------------------------===//
-
-void Server::serveConnection(int Fd, std::string Peer) {
-  std::string Err;
-  bool IsShutdown = false;
-  while (!IsShutdown) {
-    Json Request;
-    int Rc = readJson(Fd, Request, Err);
-    if (Rc == 0)
-      break; // clean EOF (or drained SHUT_RD)
-    if (Rc < 0) {
-      // Malformed frame/JSON: answer if the peer is still there, then
-      // drop the connection — framing is unrecoverable after a bad frame.
-      if constexpr (obs::kEnabled)
-        obs::log()
-            .event(obs::LogLevel::Warn, "service.bad_frame")
-            .str("peer", Peer)
-            .str("error", Err);
-      std::string Ignored;
-      writeJson(Fd, errorResponse(Err), Ignored);
-      break;
-    }
-    std::string Op = Request.getString("op", "");
-    countOp(Op);
-    Json Response;
-    std::unique_ptr<obs::RequestContext> Ctx;
-    if (Op == "analyze" || Op == "check") {
-      std::promise<std::pair<Json, std::unique_ptr<obs::RequestContext>>>
-          Prom;
-      auto Fut = Prom.get_future();
-      submitAnalyze(std::move(Request), Peer,
-                    [&Prom](Json &&R,
-                            std::unique_ptr<obs::RequestContext> C) {
-                      Prom.set_value({std::move(R), std::move(C)});
-                    });
-      auto Pair = Fut.get();
-      Response = std::move(Pair.first);
-      Ctx = std::move(Pair.second);
-    } else {
-      Response = dispatchInline(Request, IsShutdown, Peer);
-    }
-    std::string WriteErr;
-    bool WroteOk = writeJson(Fd, Response, WriteErr);
-    finalizeRequest(std::move(Ctx), /*Aborted=*/!WroteOk);
-    if (!WroteOk)
-      break;
-    Served.fetch_add(1, std::memory_order_relaxed);
-  }
-  if constexpr (obs::kEnabled)
-    obs::log()
-        .event(obs::LogLevel::Debug, "service.disconnect")
-        .str("peer", Peer);
-  ::close(Fd);
-  {
-    std::lock_guard<std::mutex> Lock(ConnMu);
-    for (size_t I = 0; I < ConnFds.size(); ++I) {
-      if (ConnFds[I] == Fd) {
-        ConnFds.erase(ConnFds.begin() + I);
-        break;
-      }
-    }
-  }
-  if (IsShutdown)
-    requestShutdown();
 }
 
 //===----------------------------------------------------------------------===//

@@ -10,15 +10,12 @@
 /// service/Protocol.h, and serves `analyze` requests from a shared
 /// IncrementalAnalyzer backed by the sharded content-hashed SummaryCache.
 ///
-/// Threading model (ServiceModel::EventLoop, the default): one accept
-/// thread (the caller of run()) with a token-bucket accept throttle, N
-/// event-loop threads (service/EventLoop.h) each owning an epoll set of
-/// non-blocking connections, and a fixed worker pool executing `analyze`
-/// jobs from a bounded queue. Cheap ops (ping/stats/invalidate/metrics/
-/// flightrecord/shutdown) run inline on the loop thread. The legacy
-/// thread-per-connection model is retained (ServiceModel::
-/// ThreadPerConnection) as the reference implementation the byte-identity
-/// differential tests compare against.
+/// Threading model: one accept thread (the caller of run()) with a
+/// token-bucket accept throttle, N event-loop threads (service/
+/// EventLoop.h) each owning an epoll set of non-blocking connections, and
+/// a fixed worker pool executing `analyze` jobs from a bounded queue.
+/// Cheap ops (ping/stats/invalidate/metrics/flightrecord/shutdown) run
+/// inline on the loop thread.
 ///
 /// Admission control, applied before a job enters the queue:
 ///   - bounded queue: a full queue answers `{"ok":false,"error":
@@ -58,7 +55,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -96,26 +92,19 @@ struct ServerOptions {
   /// Completed-request summaries the flight recorder retains.
   size_t FlightCapacity = 256;
 
-  /// Connection-handling model; see the file comment.
-  enum class ServiceModel { EventLoop, ThreadPerConnection };
-  ServiceModel Model = ServiceModel::EventLoop;
-  /// Event-loop threads (EventLoop model only; min 1).
+  /// Event-loop threads (min 1).
   unsigned EventLoops = 2;
   /// Global cap on queued+running analyze jobs; 0 = only QueueDepth caps.
   unsigned MaxInflight = 0;
   /// Per-tenant cap on queued+running analyze jobs; 0 = unlimited.
   unsigned TenantQuota = 0;
-  /// Mid-frame read deadline (slow-loris defense), EventLoop model only;
-  /// 0 disables. Idle connections between frames are never timed out.
+  /// Mid-frame read deadline (slow-loris defense); 0 disables. Idle
+  /// connections between frames are never timed out.
   unsigned ReadTimeoutMs = 0;
   /// Token-bucket accept throttle: sustained accepts/second (0 = off)
   /// and burst size.
   double AcceptRate = 0.0;
   unsigned AcceptBurst = 64;
-  /// EPOLLET instead of level-triggered (EventLoop model, epoll backend).
-  bool EdgeTriggered = false;
-  /// Force the poll() fallback backend even where epoll is available.
-  bool UsePollBackend = false;
   /// Test-only syscall fault injection for the event loops.
   std::shared_ptr<FaultInjector> Faults;
 };
@@ -181,7 +170,6 @@ private:
   };
 
   void acceptLoop();
-  void serveConnection(int Fd, std::string Peer); ///< legacy model
   /// Admission control + enqueue; rejections invoke Done synchronously.
   void submitAnalyze(Json Request, const std::string &Peer, DoneFn Done);
   /// Every op except analyze/check, answered on the calling thread.
@@ -237,10 +225,6 @@ private:
 
   std::vector<std::unique_ptr<EventLoop>> Loops;
   size_t NextLoopIdx = 0; ///< accept thread only
-
-  std::mutex ConnMu; ///< legacy model connection registry
-  std::vector<int> ConnFds;
-  std::vector<std::thread> ConnThreads;
 
   std::chrono::steady_clock::time_point StartTime;
 };

@@ -53,7 +53,6 @@ TEST_F(InterningTest, SameStructureSameNodeAndId) {
   const LockPathNode *N2 = IN.intern(pathAN());
   EXPECT_EQ(N1, N2) << "hash-consing must canonicalize equal structures";
   EXPECT_EQ(N1->Id, N2->Id);
-  EXPECT_TRUE(N1->Shared);
   EXPECT_EQ(IN.stats().PathNodes, 1u);
   EXPECT_EQ(IN.stats().PathHits, 1u);
 
@@ -70,18 +69,6 @@ TEST_F(InterningTest, IdxExprHashConsing) {
                              IN.idxConst(16));
   EXPECT_EQ(A, B) << "structurally equal index trees are one node";
   EXPECT_EQ(IN.stats().IdxHits, 3u) << "leaf, leaf, bin";
-}
-
-TEST_F(InterningTest, LegacyModeAllocatesFreshEquivalentNodes) {
-  LockInterner IN(/*Share=*/false);
-  const LockPathNode *N1 = IN.intern(pathAN());
-  const LockPathNode *N2 = IN.intern(pathAN());
-  EXPECT_NE(N1, N2) << "sharing off: one node per construction";
-  EXPECT_FALSE(N1->Shared);
-  EXPECT_TRUE(samePath(N1, N2)) << "structural equality is representation-"
-                                   "independent";
-  EXPECT_EQ(N1->hash(), N2->hash());
-  EXPECT_EQ(IN.stats().PathHits, 0u);
 }
 
 TEST_F(InterningTest, CrossThreadInterningIsCanonical) {
