@@ -424,8 +424,7 @@ bool emitJson(const std::vector<Result> &Results,
   }
   std::fprintf(F, "  ]%s\n", Overheads.empty() ? "" : ",");
   if (!Overheads.empty()) {
-    std::fprintf(F, "  \"obs_enabled\": %s,\n  \"obs_overhead\": [\n",
-                 obs::kEnabled ? "true" : "false");
+    std::fprintf(F, "  \"obs_overhead\": [\n");
     for (size_t I = 0; I < Overheads.size(); ++I) {
       const ObsOverhead &O = Overheads[I];
       std::fprintf(F,
@@ -559,9 +558,6 @@ int main(int Argc, char **Argv) {
 
   std::vector<ObsOverhead> Overheads;
   if (WithObs) {
-    if (!obs::kEnabled)
-      std::fprintf(stderr, "bench_runtime: note: built with LOCKIN_OBS=OFF; "
-                           "--with-obs measures the compiled-out stubs\n");
     std::printf("\n%-24s %14s %14s %10s\n", "obs overhead", "off(ns/op)",
                 "on(ns/op)", "pct");
     auto ReportObs = [&](ObsOverhead O) {

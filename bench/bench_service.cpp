@@ -43,10 +43,7 @@
 /// curve with per-rate shed counts and the calibrated saturation rate,
 /// plus the request-telemetry view: a per-phase (queue/parse/fingerprint/
 /// analyze/render) latency breakdown scraped from the daemon's own
-/// `metrics` op, and the telemetry overhead measured by running the
-/// warm leg against two daemons in alternating batches, one with
-/// ServerOptions::Telemetry off and one with it on (budget: <= 5%;
-/// recorded, not gated).
+/// `metrics` op.
 ///
 /// Usage: bench_service [--quick] [--out PATH]
 ///
@@ -470,22 +467,6 @@ int main(int Argc, char **Argv) {
               "depth %u (%zu source bytes)\n",
               Workers, SectionsPer, Chains, Depth, Source.size());
 
-  // Two daemons, one process: the measured daemon (telemetry on, the
-  // default) and a baseline with request telemetry off (no contexts, no
-  // phase spans, no flight records). The warm legs run as alternating
-  // batches against both so allocator warm-up and machine noise hit
-  // them evenly — a sequential A-then-B comparison systematically
-  // flatters whichever leg runs second.
-  ServerOptions OffOpts = Opts;
-  OffOpts.UnixSocketPath += ".off";
-  OffOpts.Telemetry = false;
-  Server OffDaemon(OffOpts);
-  if (!OffDaemon.start(Err)) {
-    std::fprintf(stderr, "bench_service: %s\n", Err.c_str());
-    return 1;
-  }
-  std::thread OffRunner([&OffDaemon] { OffDaemon.run(); });
-
   Server Daemon(Opts);
   if (!Daemon.start(Err)) {
     std::fprintf(stderr, "bench_service: %s\n", Err.c_str());
@@ -499,52 +480,13 @@ int main(int Argc, char **Argv) {
   std::printf("cold: %zu requests, p50 %.1f ms, p99 %.1f ms, %.1f req/s\n",
               Cold.LatenciesMs.size(), Cold.quantile(0.5),
               Cold.quantile(0.99), Cold.throughput());
-  // Prime the baseline daemon with the same forced-cold sequence so
-  // both caches (and both daemons' first-touch costs) are paid before
-  // the measured warm legs.
-  runPhase(OffOpts.UnixSocketPath, Source, /*Clients=*/1, ColdRequests,
-           /*Force=*/true);
 
-  // Warm: the cold phases primed every section summary. Alternate
-  // batches between the two daemons, flipping the order each rep.
-  PhaseStats Warm, WarmOff;
-  const unsigned WarmReps = 5;
-  const unsigned WarmBatch = std::max(1u, WarmRequests / WarmReps);
-  auto Merge = [](PhaseStats &Into, const PhaseStats &From) {
-    Into.LatenciesMs.insert(Into.LatenciesMs.end(),
-                            From.LatenciesMs.begin(),
-                            From.LatenciesMs.end());
-    Into.WallSeconds += From.WallSeconds;
-    Into.Errors += From.Errors;
-    if (Into.Report.empty())
-      Into.Report = From.Report;
-  };
-  for (unsigned Rep = 0; Rep < WarmReps; ++Rep) {
-    auto OnBatch = [&] {
-      Merge(Warm, runPhase(Opts.UnixSocketPath, Source, /*Clients=*/1,
-                           WarmBatch, /*Force=*/false));
-    };
-    auto OffBatch = [&] {
-      Merge(WarmOff, runPhase(OffOpts.UnixSocketPath, Source,
-                              /*Clients=*/1, WarmBatch, /*Force=*/false));
-    };
-    if (Rep % 2) {
-      OnBatch();
-      OffBatch();
-    } else {
-      OffBatch();
-      OnBatch();
-    }
-  }
-  OffDaemon.requestShutdown();
-  OffRunner.join();
+  // Warm: the cold phase primed every section summary.
+  PhaseStats Warm = runPhase(Opts.UnixSocketPath, Source, /*Clients=*/1,
+                             WarmRequests, /*Force=*/false);
   std::printf("warm: %zu requests, p50 %.1f ms, p99 %.1f ms, %.1f req/s\n",
               Warm.LatenciesMs.size(), Warm.quantile(0.5),
               Warm.quantile(0.99), Warm.throughput());
-  std::printf("warm (telemetry off): %zu requests, p50 %.1f ms, "
-              "mean %.2f ms\n",
-              WarmOff.LatenciesMs.size(), WarmOff.quantile(0.5),
-              WarmOff.mean());
 
   // Concurrent warm: closed loop with as many clients as daemon workers.
   PhaseStats WarmConc = runPhase(Opts.UnixSocketPath, Source, Clients,
@@ -647,10 +589,6 @@ int main(int Argc, char **Argv) {
   double Speedup = Warm.mean() > 0 ? Cold.mean() / Warm.mean() : 0;
   std::printf("speedup (mean cold / mean warm): %.1fx, identical: %s\n",
               Speedup, Identical ? "true" : "false");
-  double OverheadPct =
-      WarmOff.mean() > 0 ? (Warm.mean() / WarmOff.mean() - 1.0) * 100.0 : 0;
-  std::printf("telemetry overhead (warm mean on vs off): %+.1f%%\n",
-              OverheadPct);
 
   Json Root = Json::object();
   Root.set("schema", Json::integer(3));
@@ -687,11 +625,6 @@ int main(int Argc, char **Argv) {
   OpenLoop.set("rates", std::move(Rates));
   Root.set("open_loop", std::move(OpenLoop));
   Root.set("phases", std::move(Phases));
-  Json Telemetry = Json::object();
-  Telemetry.set("warm_off_mean_ms", Json::number(WarmOff.mean()));
-  Telemetry.set("warm_on_mean_ms", Json::number(Warm.mean()));
-  Telemetry.set("overhead_pct", Json::number(OverheadPct));
-  Root.set("telemetry", std::move(Telemetry));
   Root.set("speedup", Json::number(Speedup));
   Root.set("identical", Json::boolean(Identical));
 
@@ -703,8 +636,7 @@ int main(int Argc, char **Argv) {
   }
   std::printf("wrote %s\n", OutPath.c_str());
 
-  if (Cold.Errors || Warm.Errors || WarmConc.Errors || WarmOff.Errors ||
-      !Identical) {
+  if (Cold.Errors || Warm.Errors || WarmConc.Errors || !Identical) {
     std::fprintf(stderr, "bench_service: FAILED (errors or divergence)\n");
     return 1;
   }

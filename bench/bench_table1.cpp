@@ -302,10 +302,9 @@ int main(int Argc, char **Argv) {
     Obs.SecondsOn = compileSeconds(Target.Source, true);
     Obs.OverheadPct = (Obs.SecondsOn / Obs.SecondsOff - 1.0) * 100.0;
     std::printf("\nobs overhead (%s, full compile): off %.4fs, on %.4fs "
-                "(%+.2f%%)%s\n",
+                "(%+.2f%%)\n",
                 Obs.Program.c_str(), Obs.SecondsOff, Obs.SecondsOn,
-                Obs.OverheadPct,
-                obs::kEnabled ? "" : " [built with LOCKIN_OBS=OFF]");
+                Obs.OverheadPct);
   }
 
   if (const char *JsonPath = std::getenv("LOCKIN_TABLE1_JSON"))

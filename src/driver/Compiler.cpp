@@ -26,28 +26,38 @@ std::string Compilation::transformedText() const {
   });
 }
 
-std::string Compilation::report() const {
-  std::string Out = transformedText();
-  if (!Inference)
-    return Out;
+void lockin::appendSectionReport(std::string &Out,
+                                 const std::vector<ReportSection> &Sections,
+                                 const LockCensus &Census) {
   char Line[64];
-  for (const auto &Section : Inference->sections()) {
+  for (uint32_t Id = 0; Id < Sections.size(); ++Id) {
+    const ReportSection &S = Sections[Id];
     Out += "; section #";
-    std::snprintf(Line, sizeof(Line), "%u", Section.SectionId);
+    std::snprintf(Line, sizeof(Line), "%u", Id);
     Out += Line;
     Out += " in ";
-    Out += Section.Function ? Section.Function->name() : std::string("?");
+    Out += S.Function ? S.Function->name() : std::string("?");
     Out += ": ";
-    Out += Section.Locks.str();
+    Out += S.Locks;
     Out += "\n";
   }
-  LockCensus Census = Inference->census();
   std::snprintf(Line, sizeof(Line),
                 "fine-ro=%u fine-rw=%u coarse-ro=%u coarse-rw=%u\n",
                 Census.FineRO, Census.FineRW, Census.CoarseRO,
                 Census.CoarseRW);
   Out += "; locks: ";
   Out += Line;
+}
+
+std::string Compilation::report() const {
+  std::string Out = transformedText();
+  if (!Inference)
+    return Out;
+  std::vector<ReportSection> Sections;
+  Sections.reserve(Inference->sections().size());
+  for (const auto &Section : Inference->sections())
+    Sections.push_back({Section.Function, Section.Locks.str()});
+  appendSectionReport(Out, Sections, Inference->census());
   return Out;
 }
 
@@ -101,15 +111,13 @@ std::unique_ptr<Compilation> lockin::compile(std::string_view Source,
     });
     C->Stats.Inference = Inference.stats();
     C->Stats.HasInference = true;
-    if constexpr (obs::kEnabled) {
-      const InferenceStats &S = C->Stats.Inference;
-      obs::MetricsRegistry &Reg =
-          Options.Metrics ? *Options.Metrics : obs::metrics();
-      Reg.counter("interner.nodes").add(S.InternerNodes);
-      Reg.counter("interner.hits").add(S.InternerHits);
-      Reg.counter("summaries.deduped").add(S.Summaries.Deduped);
-      Reg.counter("arena.bytes").add(S.ArenaBytes + C->Module->arenaBytes());
-    }
+    const InferenceStats &S = C->Stats.Inference;
+    obs::MetricsRegistry &Reg =
+        Options.Metrics ? *Options.Metrics : obs::metrics();
+    Reg.counter("interner.nodes").add(S.InternerNodes);
+    Reg.counter("interner.hits").add(S.InternerHits);
+    Reg.counter("summaries.deduped").add(S.Summaries.Deduped);
+    Reg.counter("arena.bytes").add(S.ArenaBytes + C->Module->arenaBytes());
   }
 
   if (Options.Check && C->Inference) {
@@ -122,13 +130,11 @@ std::unique_ptr<Compilation> lockin::compile(std::string_view Source,
     });
     C->Stats.Check = C->Check->Stats;
     C->Stats.HasCheck = true;
-    if constexpr (obs::kEnabled) {
-      obs::MetricsRegistry &Reg =
-          Options.Metrics ? *Options.Metrics : obs::metrics();
-      Reg.counter("check.reports").add(1);
-      Reg.counter("check.mhp_pairs").add(C->Check->Stats.MhpPairs);
-      Reg.counter("check.elided_sections").add(C->Check->Stats.ElidedSections);
-    }
+    obs::MetricsRegistry &Reg =
+        Options.Metrics ? *Options.Metrics : obs::metrics();
+    Reg.counter("check.reports").add(1);
+    Reg.counter("check.mhp_pairs").add(C->Check->Stats.MhpPairs);
+    Reg.counter("check.elided_sections").add(C->Check->Stats.ElidedSections);
   }
 
   C->Transformed = PM.run("transform", [&] {

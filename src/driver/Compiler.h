@@ -29,6 +29,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <vector>
 
 namespace lockin {
 
@@ -55,6 +56,21 @@ struct CompileOptions {
   obs::MetricsRegistry *Metrics = nullptr;
   obs::Tracer *Trace = nullptr;
 };
+
+/// One atomic section's line in the standard report.
+struct ReportSection {
+  const ir::IrFunction *Function = nullptr; ///< null prints "?"
+  std::string Locks;
+};
+
+/// Appends the tail of the standard report to \p Out: one "; section #N
+/// in F: {...}" line per section (\p Sections is indexed by section id)
+/// and the "; locks: ..." census line. Compilation::report() and the
+/// daemon's IncrementalAnalyzer both render through this, so a warm
+/// response stays byte-identical to a cold compile.
+void appendSectionReport(std::string &Out,
+                         const std::vector<ReportSection> &Sections,
+                         const LockCensus &Census);
 
 /// The result of compiling one program. Owns every phase's output; check
 /// ok() before using anything beyond diagnostics().

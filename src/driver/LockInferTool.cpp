@@ -49,13 +49,6 @@ int main(int Argc, char **Argv) {
     return 0;
   }
 
-  bool WantObs =
-      !Cli.TraceOut.empty() || !Cli.MetricsOut.empty() || Cli.ProfileLocks;
-  if (WantObs && !obs::kEnabled)
-    std::fprintf(stderr,
-                 "warning: built with LOCKIN_OBS=OFF; instrumentation "
-                 "sites are compiled out and observability output will "
-                 "be empty\n");
   // Arm before compiling so pass spans and the run are both captured.
   // Tracing implies the profiler (the per-node wait spans come from it).
   if (!Cli.TraceOut.empty())

@@ -18,20 +18,18 @@ void PassManager::record(std::string Name,
                          std::chrono::steady_clock::time_point Start) {
   auto End = std::chrono::steady_clock::now();
   double Seconds = std::chrono::duration<double>(End - Start).count();
-  if constexpr (obs::kEnabled) {
-    uint64_t Ns = static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(End - Start)
+  uint64_t Ns = static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(End - Start)
+          .count());
+  obs::MetricsRegistry &Reg = Metrics ? *Metrics : obs::metrics();
+  Reg.counter("pass." + Name + ".ns").add(Ns);
+  obs::Tracer &T = Trace ? *Trace : obs::tracer();
+  if (T.enabled()) {
+    uint64_t EndNs = static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            End.time_since_epoch())
             .count());
-    obs::MetricsRegistry &Reg = Metrics ? *Metrics : obs::metrics();
-    Reg.counter("pass." + Name + ".ns").add(Ns);
-    obs::Tracer &T = Trace ? *Trace : obs::tracer();
-    if (T.enabled()) {
-      uint64_t EndNs = static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              End.time_since_epoch())
-              .count());
-      T.span(obs::EventKind::PassSpan, EndNs - Ns, Ns, T.internName(Name));
-    }
+    T.span(obs::EventKind::PassSpan, EndNs - Ns, Ns, T.internName(Name));
   }
   Timings.push_back(PassTiming{std::move(Name), Seconds});
 }

@@ -139,7 +139,6 @@ InterpOptions execOptions(const FuzzConfig &C, AtomicMode Mode,
   InterpOptions Options;
   Options.Mode = Mode;
   Options.Checked = true;
-  Options.Revalidate = true;
   Options.InjectYields = YieldSeed != 0;
   Options.YieldSeed = YieldSeed ? YieldSeed : 1;
   Options.FingerprintHeap = true;

@@ -17,6 +17,12 @@
 using namespace lockin;
 using namespace lockin::ir;
 
+/// Safety caps; on overflow the analysis falls back to ⊤ (sound). With a
+/// bounded k the lock domain is finite, so neither is reached in practice.
+static constexpr unsigned MaxLoopIterations = 64;
+/// Cap on the summary fixpoint rounds of one SCC.
+static constexpr unsigned MaxSummaryRounds = 16;
+
 LockCensus lockin::censusOf(const LockSet &Locks) {
   LockCensus Census;
   for (const LockName &L : Locks) {
@@ -51,7 +57,7 @@ LockInference::LockInference(const IrModule &Module,
       Ctx{Module, PT, Options.K, *Interner},
       Options(Options),
       OwnedCG(std::make_unique<analysis::CallGraph>(Module)), CG(*OwnedCG),
-      Summaries(Module, CG, Ctx, *this, Options.MaxSummaryRounds) {}
+      Summaries(Module, CG, Ctx, *this, MaxSummaryRounds) {}
 
 LockInference::LockInference(const IrModule &Module,
                              const PointsToAnalysis &PT,
@@ -61,7 +67,7 @@ LockInference::LockInference(const IrModule &Module,
       Interner(std::make_shared<LockInterner>()),
       Ctx{Module, PT, Options.K, *Interner},
       Options(Options), CG(ExtCG),
-      Summaries(Module, CG, Ctx, *this, Options.MaxSummaryRounds) {}
+      Summaries(Module, CG, Ctx, *this, MaxSummaryRounds) {}
 
 namespace {
 
@@ -289,7 +295,7 @@ LockSet LockInference::analyze(const IrFunction *CurFn, const IrStmt *S,
     LockSet X = analyze(CurFn, W->prelude(), Base, ExitSet);
     HotScope Hot; // iterations repeat the same transfers: memoize them
     for (unsigned Iter = 0;; ++Iter) {
-      if (Iter >= Options.MaxLoopIterations) {
+      if (Iter >= MaxLoopIterations) {
         // Sound fallback; with a bounded k this should be unreachable.
         X.insert(LockName::top());
         break;

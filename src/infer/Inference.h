@@ -48,11 +48,6 @@ struct InferenceOptions {
   /// tracing entirely (every lock is a region lock), matching the paper's
   /// "Only Coarse" configuration.
   unsigned K = 3;
-  /// Safety caps; on overflow the analysis falls back to ⊤ (sound).
-  unsigned MaxLoopIterations = 64;
-  /// Cap on the per-SCC summary fixpoint rounds (the seed's
-  /// MaxSummaryRounds applied per SCC instead of globally).
-  unsigned MaxSummaryRounds = 16;
   /// Worker threads for the SCC-scheduled analysis; 0 means
   /// std::thread::hardware_concurrency(). 1 runs fully inline.
   unsigned Jobs = 0;

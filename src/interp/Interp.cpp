@@ -257,13 +257,10 @@ private:
       S.fail("canceled");
       return false;
     }
-    if constexpr (obs::kEnabled) {
-      // Periodic counter samples give the trace a progress track without
-      // touching the tracer on the other 65535 steps.
-      if ((Steps & 0xFFFF) == 0 && obs::tracer().enabled())
-        obs::tracer().span(obs::EventKind::StepsCount, obs::nowNs(), 0,
-                           Steps);
-    }
+    // Periodic counter samples give the trace a progress track without
+    // touching the tracer on the other 65535 steps.
+    if ((Steps & 0xFFFF) == 0 && obs::tracer().enabled())
+      obs::tracer().span(obs::EventKind::StepsCount, obs::nowNs(), 0, Steps);
     return true;
   }
 
@@ -702,11 +699,9 @@ bool ThreadExec::buildDescriptors(
 }
 
 bool ThreadExec::enterSection(const Frame &Fr, const AtomicIrStmt *A) {
-  if constexpr (obs::kEnabled) {
-    // Tag sections 1-based so tag 0 stays "untagged" in the profiler.
-    if (!LockCtx.insideAtomic())
-      LockCtx.setSectionTag(A->sectionId() + 1);
-  }
+  // Tag sections 1-based so tag 0 stays "untagged" in the profiler.
+  if (!LockCtx.insideAtomic())
+    LockCtx.setSectionTag(A->sectionId() + 1);
   switch (S.Options.Mode) {
   case AtomicMode::None:
     LockCtx.acquireAll(); // tracks nesting; acquires nothing
@@ -756,8 +751,6 @@ bool ThreadExec::enterSection(const Frame &Fr, const AtomicIrStmt *A) {
     for (const rt::LockDescriptor &D : Descs)
       LockCtx.toAcquire(D);
     LockCtx.acquireAll();
-    if (!S.Options.Revalidate)
-      return true;
     // Re-evaluate fine paths under the locks; a change means another
     // thread rewrote a cell between evaluation and acquisition.
     bool Valid = true;
@@ -781,10 +774,8 @@ bool ThreadExec::enterSection(const Frame &Fr, const AtomicIrStmt *A) {
 /// lock half of AtomicMode::Adaptive.
 Flow ThreadExec::execAtomicLocked(const Frame &Fr, const AtomicIrStmt *A) {
   uint64_t SpanT0 = 0;
-  if constexpr (obs::kEnabled) {
-    if (!LockCtx.insideAtomic() && obs::tracer().enabled())
-      SpanT0 = obs::nowNs();
-  }
+  if (!LockCtx.insideAtomic() && obs::tracer().enabled())
+    SpanT0 = obs::nowNs();
   if (!enterSection(Fr, A))
     return Flow::Stopped;
   Flow F = execStmt(Fr, A->body());
@@ -793,11 +784,9 @@ Flow ThreadExec::execAtomicLocked(const Frame &Fr, const AtomicIrStmt *A) {
   if (!LockCtx.insideAtomic()) {
     SectionAllocs.clear();
     InElidedSection = false;
-    if constexpr (obs::kEnabled) {
-      if (SpanT0)
-        obs::tracer().span(obs::EventKind::SectionSpan, SpanT0,
-                           obs::nowNs() - SpanT0, A->sectionId());
-    }
+    if (SpanT0)
+      obs::tracer().span(obs::EventKind::SectionSpan, SpanT0,
+                         obs::nowNs() - SpanT0, A->sectionId());
   }
   return F;
 }
@@ -1371,11 +1360,9 @@ InterpResult lockin::interpret(const IrModule &Module,
     Result.HeapFingerprint = H;
     Result.HeapObjects = static_cast<uint32_t>(Order.size());
   }
-  if constexpr (obs::kEnabled) {
-    obs::MetricsRegistry &Reg = S.LockRT->registry();
-    Reg.counter("interp.total_steps").add(Result.TotalSteps);
-    Reg.counter("interp.protection_checks").add(Result.ProtectionChecks);
-  }
+  obs::MetricsRegistry &Reg = S.LockRT->registry();
+  Reg.counter("interp.total_steps").add(Result.TotalSteps);
+  Reg.counter("interp.protection_checks").add(Result.ProtectionChecks);
   {
     std::lock_guard<std::mutex> Lock(S.ErrorMu);
     Result.Error = S.Error;

@@ -59,9 +59,6 @@ struct InterpOptions {
   AtomicMode Mode = AtomicMode::Inferred;
   /// Enforce the checking semantics of §4.2.
   bool Checked = true;
-  /// Re-evaluate fine lock descriptors after acquisition and retry on
-  /// mismatch (closes the evaluate-then-acquire window).
-  bool Revalidate = true;
   /// Inject scheduler yields at shared accesses to diversify
   /// interleavings in property tests (seeded, per thread).
   bool InjectYields = false;

@@ -19,11 +19,6 @@
 /// field appenders are no-ops and nothing is allocated or written. The
 /// default sink is stderr; tests redirect it with setSink(tmpfile()).
 ///
-/// Like the rest of obs/, the Logger class is always compiled;
-/// instrumentation *sites* in the service and runtime are guarded by
-/// `if constexpr (obs::kEnabled)` so LOCKIN_OBS=OFF builds carry none of
-/// the formatting code in their hot paths.
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef LOCKIN_OBS_LOG_H

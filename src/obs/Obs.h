@@ -1,4 +1,4 @@
-//===--- Obs.h - Observability master switch and clock ----------*- C++ -*-===//
+//===--- Obs.h - Observability root: provenance flag and clock -*- C++ -*-===//
 //
 // Part of the lockin project: lock inference for atomic sections.
 //
@@ -6,15 +6,11 @@
 ///
 /// \file
 /// The root of the `lockin_obs` observability layer (see DESIGN.md
-/// "Observability"): the compile-time master switch and the shared
-/// monotonic clock.
-///
-/// The classes in obs/ (MetricsRegistry, Tracer, LockProfiler) are always
-/// compiled — tests exercise them directly in every configuration. What
-/// the LOCKIN_OBS CMake option controls is the *instrumentation sites* in
-/// the runtime, interpreter, pass manager, and simulator: every hook is
-/// guarded by `if constexpr (obs::kEnabled)`, so an OFF build compiles
-/// them out to nothing.
+/// "Observability"): the shared monotonic clock every trace event and
+/// wait/hold measurement is stamped with. The instrumentation sites in
+/// the runtime, interpreter, pass manager, simulator and daemon are part
+/// of every build; a dormant profiler or tracer costs its site one
+/// relaxed load and a branch.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -27,11 +23,9 @@
 namespace lockin {
 namespace obs {
 
-#if defined(LOCKIN_OBS) && LOCKIN_OBS
+/// Always true: instrumentation is part of every build. Kept as a
+/// constant because benchmark provenance stamps record it.
 inline constexpr bool kEnabled = true;
-#else
-inline constexpr bool kEnabled = false;
-#endif
 
 /// Monotonic nanoseconds since an arbitrary epoch; the timestamp base of
 /// every trace event and wait/hold measurement.

@@ -192,18 +192,16 @@ void AdaptiveEngine::forceBackend(uint32_t Domain, Backend B) {
 void AdaptiveEngine::policyTrace(PolicyAction A, uint64_t Target) {
   obs::tracer().span(obs::EventKind::PolicyEvent, obs::nowNs(), 0, Target, 0,
                      static_cast<uint8_t>(A));
-  if constexpr (obs::kEnabled) {
-    // Mirror every policy decision into the structured log so a daemon's
-    // adaptive-runtime behaviour lands in the same stream as its request
-    // telemetry (the trace ring only surfaces on --trace-out).
-    static const char *const Names[] = {"bias-set",   "bias-clear",
-                                        "escalate",   "deescalate",
-                                        "migrate-stm", "migrate-lock"};
-    obs::log()
-        .event(obs::LogLevel::Info, "adaptive.policy")
-        .str("action", Names[static_cast<uint8_t>(A)])
-        .num("target", Target);
-  }
+  // Mirror every policy decision into the structured log so a daemon's
+  // adaptive-runtime behaviour lands in the same stream as its request
+  // telemetry (the trace ring only surfaces on --trace-out).
+  static const char *const Names[] = {"bias-set",   "bias-clear",
+                                      "escalate",   "deescalate",
+                                      "migrate-stm", "migrate-lock"};
+  obs::log()
+      .event(obs::LogLevel::Info, "adaptive.policy")
+      .str("action", Names[static_cast<uint8_t>(A)])
+      .num("target", Target);
 }
 
 void AdaptiveEngine::snapshot() {

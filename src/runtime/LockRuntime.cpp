@@ -25,13 +25,10 @@ LockRuntime::LockRuntime(unsigned NumRegions, obs::MetricsRegistry *Registry,
   SC.NestedSkips = &Reg->counter("runtime.nested_skips");
   SC.LeafCacheHits = &Reg->counter("runtime.leaf_cache_hits");
   SC.LeafCacheMisses = &Reg->counter("runtime.leaf_cache_misses");
-  if constexpr (obs::kEnabled) {
-    Root.ObsId = Prof->registerNode(
-        {obs::LockNodeInfo::Kind::Root, 0, 0});
-    for (unsigned I = 0; I < NumRegions; ++I)
-      Regions[I]->ObsId = Prof->registerNode(
-          {obs::LockNodeInfo::Kind::Region, I, 0});
-  }
+  Root.ObsId = Prof->registerNode({obs::LockNodeInfo::Kind::Root, 0, 0});
+  for (unsigned I = 0; I < NumRegions; ++I)
+    Regions[I]->ObsId = Prof->registerNode(
+        {obs::LockNodeInfo::Kind::Region, I, 0});
 }
 
 LockRuntimeStats LockRuntime::stats() const {
@@ -52,9 +49,8 @@ LockNode &LockRuntime::leafNode(uint32_t Region, uint64_t Address) {
   std::unique_ptr<LockNode> &Slot = S.Leaves[Key];
   if (!Slot) {
     Slot = std::make_unique<LockNode>();
-    if constexpr (obs::kEnabled)
-      Slot->ObsId = Prof->registerNode(
-          {obs::LockNodeInfo::Kind::Leaf, Region, Address});
+    Slot->ObsId = Prof->registerNode(
+        {obs::LockNodeInfo::Kind::Leaf, Region, Address});
     Dyn[Region].LeafCount.fetch_add(1, std::memory_order_relaxed);
   }
   return *Slot;
@@ -68,10 +64,9 @@ bool LockRuntime::escalateRegion(uint32_t Region, unsigned Stripes) {
   while (N < Stripes && N < 1024)
     N <<= 1;
   auto Table = std::make_unique<StripeTable>(N);
-  if constexpr (obs::kEnabled)
-    for (unsigned I = 0; I < N; ++I)
-      Table->stripe(I).ObsId =
-          Prof->registerNode({obs::LockNodeInfo::Kind::Stripe, Region, I});
+  for (unsigned I = 0; I < N; ++I)
+    Table->stripe(I).ObsId =
+        Prof->registerNode({obs::LockNodeInfo::Kind::Stripe, Region, I});
   StripeTable *T = Table.get();
   {
     std::lock_guard<std::mutex> Lock(TablesMu);
@@ -221,7 +216,7 @@ void ThreadLockContext::acquireAllSlow() {
     }
     I = End;
   }
-  statAdd(LStats.NodeAcquisitions, HeldNodes.size());
+  LStats.NodeAcquisitions += HeldNodes.size();
 
   // Swap, not move: the old HeldDescriptors buffer becomes the next
   // section's Pending buffer, so neither side reallocates in steady
@@ -229,10 +224,8 @@ void ThreadLockContext::acquireAllSlow() {
   std::swap(HeldDescriptors, Pending);
   Pending.clear();
   buildCoverIndex();
-  if constexpr (obs::kEnabled) {
-    if (ObsActive)
-      endObsAcquire();
-  }
+  if (ObsActive)
+    endObsAcquire();
 }
 
 // Recording tail of an instrumented grab: the node has already been

@@ -84,9 +84,7 @@ struct LockDescriptor {
 /// the runtime's metrics registry; contexts buffer counts in plain
 /// per-thread cells and flush them there on destruction (or an explicit
 /// flushStats()), so the steady-state fast path performs no shared atomic
-/// RMWs at all. Recording is compiled out entirely when the LOCKIN_OBS
-/// CMake option is OFF; the struct itself stays so callers compile
-/// either way.
+/// RMWs at all.
 struct LockRuntimeStats {
   uint64_t AcquireAllCalls = 0;
   uint64_t NodeAcquisitions = 0;
@@ -305,17 +303,14 @@ public:
   /// goes through the general fold in acquireAllSlow.
   void acquireAll() {
     if (NLevel++ > 0) {
-      statInc(LStats.NestedSkips);
-      if constexpr (obs::kEnabled) {
-        if (ObsActive)
-          RT.Prof->sectionSlot(SectionTag).NestedSkips.add(ObsWeight);
-      }
+      ++LStats.NestedSkips;
+      if (ObsActive)
+        RT.Prof->sectionSlot(SectionTag).NestedSkips.add(ObsWeight);
       Pending.clear();
       return;
     }
-    statInc(LStats.AcquireAllCalls);
-    if constexpr (obs::kEnabled)
-      beginObsSection();
+    ++LStats.AcquireAllCalls;
+    beginObsSection();
     // The cover index and HeldNodes are invariably empty here: the
     // outermost acquireAll always follows a full releaseAll (or a fresh
     // context), so nothing needs clearing on this path.
@@ -340,16 +335,14 @@ public:
           grab(cachedLeaf(D.Region, D.Address), D.Write ? Mode::X : Mode::S);
         FineIndex.push_back({D.Address, D.Write});
       }
-      statAdd(LStats.NodeAcquisitions, HeldNodes.size());
+      LStats.NodeAcquisitions += HeldNodes.size();
       // Swap, not move: the old HeldDescriptors buffer becomes the next
       // section's Pending buffer, so neither side reallocates in steady
       // state.
       std::swap(HeldDescriptors, Pending);
       Pending.clear();
-      if constexpr (obs::kEnabled) {
-        if (ObsActive)
-          endObsAcquire();
-      }
+      if (ObsActive)
+        endObsAcquire();
       return;
     }
     acquireAllSlow();
@@ -361,15 +354,13 @@ public:
     assert(NLevel > 0 && "releaseAll without matching acquireAll");
     if (--NLevel > 0)
       return;
-    if constexpr (obs::kEnabled) {
-      if (ObsActive && !HeldNodes.empty())
-        recordHoldTimes();
-      // Parked time is recorded exactly per section (the adaptive
-      // engine's wait/hold migration signal), sampled or not.
-      if (SectionParkNs) {
-        RT.Prof->sectionSlot(SectionTag).WaitNs.add(SectionParkNs);
-        SectionParkNs = 0;
-      }
+    if (ObsActive && !HeldNodes.empty())
+      recordHoldTimes();
+    // Parked time is recorded exactly per section (the adaptive
+    // engine's wait/hold migration signal), sampled or not.
+    if (SectionParkNs) {
+      RT.Prof->sectionSlot(SectionTag).WaitNs.add(SectionParkNs);
+      SectionParkNs = 0;
     }
     // Bottom-up release: reverse acquisition order.
     for (size_t I = HeldNodes.size(); I-- > 0;)
@@ -414,14 +405,12 @@ public:
   /// counters. Called automatically on destruction; call explicitly to
   /// observe exact counts while the context lives.
   void flushStats() {
-    if constexpr (obs::kEnabled) {
-      RT.SC.AcquireAllCalls->add(LStats.AcquireAllCalls);
-      RT.SC.NodeAcquisitions->add(LStats.NodeAcquisitions);
-      RT.SC.NestedSkips->add(LStats.NestedSkips);
-      RT.SC.LeafCacheHits->add(LStats.LeafCacheHits);
-      RT.SC.LeafCacheMisses->add(LStats.LeafCacheMisses);
-      LStats = {};
-    }
+    RT.SC.AcquireAllCalls->add(LStats.AcquireAllCalls);
+    RT.SC.NodeAcquisitions->add(LStats.NodeAcquisitions);
+    RT.SC.NestedSkips->add(LStats.NestedSkips);
+    RT.SC.LeafCacheHits->add(LStats.LeafCacheHits);
+    RT.SC.LeafCacheMisses->add(LStats.LeafCacheMisses);
+    LStats = {};
   }
 
 private:
@@ -466,18 +455,6 @@ private:
     uint64_t LeafCacheHits = 0;
     uint64_t LeafCacheMisses = 0;
   };
-  static void statInc(uint64_t &Cell) {
-    if constexpr (obs::kEnabled)
-      ++Cell;
-    else
-      (void)Cell;
-  }
-  static void statAdd(uint64_t &Cell, uint64_t N) {
-    if constexpr (obs::kEnabled)
-      Cell += N;
-    else
-      (void)Cell, (void)N;
-  }
 
   /// Decides whether this outermost section is observed and at what
   /// weight. Profiler dormant: one relaxed load and a branch. Armed,
@@ -508,25 +485,23 @@ private:
   }
 
   void grab(LockNode &Node, Mode M) {
-    if constexpr (obs::kEnabled) {
-      // Any enabled profiler must see parked waits exactly, so every
-      // grab checks the park flag while it is on; the common unsampled
-      // uncontended grab stays on this inline path and records nothing.
-      if (ObsOn) {
-        uint64_t ParkNs = 0;
-        bool Parked = Node.acquire(M, &ParkNs);
-        if (Parked) {
-          RT.ParkEvents.fetch_add(1, std::memory_order_relaxed);
-          grabObs(Node, M, Parked, ParkNs);
-          return;
-        }
-        if (ObsActive) {
-          grabObs(Node, M, Parked, ParkNs);
-          return;
-        }
-        HeldNodes.push_back({&Node, M});
+    // Any enabled profiler must see parked waits exactly, so every
+    // grab checks the park flag while it is on; the common unsampled
+    // uncontended grab stays on this inline path and records nothing.
+    if (ObsOn) {
+      uint64_t ParkNs = 0;
+      bool Parked = Node.acquire(M, &ParkNs);
+      if (Parked) {
+        RT.ParkEvents.fetch_add(1, std::memory_order_relaxed);
+        grabObs(Node, M, Parked, ParkNs);
         return;
       }
+      if (ObsActive) {
+        grabObs(Node, M, Parked, ParkNs);
+        return;
+      }
+      HeldNodes.push_back({&Node, M});
+      return;
     }
     if (Node.acquire(M))
       RT.ParkEvents.fetch_add(1, std::memory_order_relaxed);
@@ -541,10 +516,10 @@ private:
                  (LeafCacheSize - 1);
     LeafCacheEntry &E = LeafCache[Idx];
     if (E.Node && E.Address == Address && E.Region == Region) {
-      statInc(LStats.LeafCacheHits);
+      ++LStats.LeafCacheHits;
       return *E.Node;
     }
-    statInc(LStats.LeafCacheMisses);
+    ++LStats.LeafCacheMisses;
     LockNode &N = RT.leafNode(Region, Address);
     E = {Address, Region, &N};
     return N;

@@ -133,11 +133,10 @@ void EventLoop::run() {
     if (N < 0) {
       // epoll broke (can only mean corrupted fd state); bail rather than
       // spin — the daemon's drain will still join this thread.
-      if constexpr (obs::kEnabled)
-        obs::log()
-            .event(obs::LogLevel::Error, "service.loop_failed")
-            .num("loop", Cfg.Index)
-            .str("error", std::strerror(errno));
+      obs::log()
+          .event(obs::LogLevel::Error, "service.loop_failed")
+          .num("loop", Cfg.Index)
+          .str("error", std::strerror(errno));
       break;
     }
     obs::metrics().counter("service.loop.wakeups").inc();
@@ -361,11 +360,10 @@ void EventLoop::readable(Conn &C) {
   if (Fatal) {
     // Oversized length prefix: answer exactly like the blocking path,
     // then drop the connection — framing is unrecoverable.
-    if constexpr (obs::kEnabled)
-      obs::log()
-          .event(obs::LogLevel::Warn, "service.bad_frame")
-          .str("peer", C.Peer)
-          .str("error", FrameErr);
+    obs::log()
+        .event(obs::LogLevel::Warn, "service.bad_frame")
+        .str("peer", C.Peer)
+        .str("error", FrameErr);
     Pending Slot;
     Slot.Seq = C.NextSeq++;
     Slot.Ready = true;
@@ -461,12 +459,11 @@ void EventLoop::maybeClose(Conn &C) {
 
 void EventLoop::abortConn(Conn &C, const char *Reason) {
   obs::metrics().counter("service.aborted").inc();
-  if constexpr (obs::kEnabled)
-    obs::log()
-        .event(obs::LogLevel::Warn, "service.conn_aborted")
-        .str("peer", C.Peer)
-        .str("reason", Reason)
-        .num("loop", Cfg.Index);
+  obs::log()
+      .event(obs::LogLevel::Warn, "service.conn_aborted")
+      .str("peer", C.Peer)
+      .str("reason", Reason)
+      .num("loop", Cfg.Index);
   // Responses mid-write or queued-but-unflushed die with the connection;
   // their telemetry records the abort. Slots whose job is still running
   // finalize later, when the worker's response finds no connection.
@@ -484,10 +481,9 @@ void EventLoop::abortConn(Conn &C, const char *Reason) {
 }
 
 void EventLoop::closeConn(Conn &C) {
-  if constexpr (obs::kEnabled)
-    obs::log()
-        .event(obs::LogLevel::Debug, "service.disconnect")
-        .str("peer", C.Peer);
+  obs::log()
+      .event(obs::LogLevel::Debug, "service.disconnect")
+      .str("peer", C.Peer);
   ::epoll_ctl(EpollFd, EPOLL_CTL_DEL, C.Fd, nullptr);
   ::close(C.Fd);
   Conns.erase(C.Id); // destroys C — callers must not touch it again
@@ -516,12 +512,11 @@ void EventLoop::sweepReadDeadlines(uint64_t NowNs) {
       continue;
     Conn &C = *It->second;
     obs::metrics().counter("service.read_timeouts").inc();
-    if constexpr (obs::kEnabled)
-      obs::log()
-          .event(obs::LogLevel::Warn, "service.read_timeout")
-          .str("peer", C.Peer)
-          .num("timeout_ms", Cfg.ReadTimeoutMs)
-          .num("pending_bytes", C.Asm.pendingBytes());
+    obs::log()
+        .event(obs::LogLevel::Warn, "service.read_timeout")
+        .str("peer", C.Peer)
+        .num("timeout_ms", Cfg.ReadTimeoutMs)
+        .num("pending_bytes", C.Asm.pendingBytes());
     Pending Slot;
     Slot.Seq = C.NextSeq++;
     Slot.Ready = true;

@@ -13,7 +13,6 @@
 #include "service/Hash.h"
 
 #include <algorithm>
-#include <cstdio>
 
 using namespace lockin;
 using namespace lockin::service;
@@ -48,7 +47,7 @@ struct SectionInfo {
 AnalyzeOutcome IncrementalAnalyzer::analyze(const std::string &Unit,
                                             const std::string &Source,
                                             const AnalyzeParams &Params) {
-  obs::RequestContext *Tel = obs::kEnabled ? Params.Telemetry : nullptr;
+  obs::RequestContext *Tel = Params.Telemetry;
 
   // Front half of the pipeline: always runs (content hashing needs the
   // normalized IR, the region signature needs points-to).
@@ -244,33 +243,19 @@ AnalyzeOutcome IncrementalAnalyzer::analyze(const std::string &Unit,
 
   obs::PhaseScope RenderScope(Tel, obs::ReqPhase::Render);
 
-  // Assemble the report — the exact shape of Compilation::report().
   Out.Report = ir::printIrModule(Module, [&](uint32_t SectionId) {
     const auto &Text = LocksText[SectionId];
     return Text ? *Text : std::string();
   });
-  char Line[64];
+  std::vector<ReportSection> Rows(NumSections);
   LockCensus Census;
   for (uint32_t Id = 0; Id < NumSections; ++Id) {
-    Out.Report += "; section #";
-    std::snprintf(Line, sizeof(Line), "%u", Id);
-    Out.Report += Line;
-    Out.Report += " in ";
-    Out.Report += Sections[Id].Function
-                      ? Sections[Id].Function->name()
-                      : std::string("?");
-    Out.Report += ": ";
+    Rows[Id].Function = Sections[Id].Function;
     if (LocksText[Id])
-      Out.Report += *LocksText[Id];
-    Out.Report += "\n";
+      Rows[Id].Locks = *LocksText[Id];
     Census += Censuses[Id];
   }
-  std::snprintf(Line, sizeof(Line),
-                "fine-ro=%u fine-rw=%u coarse-ro=%u coarse-rw=%u\n",
-                Census.FineRO, Census.FineRW, Census.CoarseRO,
-                Census.CoarseRW);
-  Out.Report += "; locks: ";
-  Out.Report += Line;
+  appendSectionReport(Out.Report, Rows, Census);
 
   // Publish the new snapshot.
   {

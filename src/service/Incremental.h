@@ -71,8 +71,7 @@ struct AnalyzeParams {
   /// Request-scoped telemetry carrier (null = untelemetered). The
   /// analyzer brackets its pipeline stages (parse, fingerprint, analyze,
   /// render) with PhaseScopes on this context; the server rolls the
-  /// spans up when the request completes. Ignored in LOCKIN_OBS=OFF
-  /// builds — the bracketing sites compile out.
+  /// spans up when the request completes.
   obs::RequestContext *Telemetry = nullptr;
 };
 

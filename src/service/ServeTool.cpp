@@ -40,10 +40,9 @@ int tool::runServe(const cli::CliOptions &Opts) {
   std::string Err;
   if (!Server.start(Err)) {
     std::fprintf(stderr, "error: %s\n", Err.c_str());
-    if constexpr (obs::kEnabled)
-      obs::log()
-          .event(obs::LogLevel::Error, "service.start_failed")
-          .str("error", Err);
+    obs::log()
+        .event(obs::LogLevel::Error, "service.start_failed")
+        .str("error", Err);
     return 1;
   }
   Server.installSignalHandlers();
@@ -55,17 +54,15 @@ int tool::runServe(const cli::CliOptions &Opts) {
   if (Opts.Port >= 0)
     std::printf("lockin-serve: listening on 127.0.0.1:%d\n", Server.port());
   std::fflush(stdout);
-  if constexpr (obs::kEnabled)
-    obs::log()
-        .event(obs::LogLevel::Info, "service.listening")
-        .str("socket", Opts.Socket)
-        .num("port", Opts.Port >= 0 ? static_cast<uint64_t>(Server.port())
-                                    : 0)
-        .num("workers", SO.Workers)
-        .num("queue_depth", SO.QueueDepth)
-        .num("event_loops", SO.EventLoops)
-        .num("max_inflight", SO.MaxInflight)
-        .num("tenant_quota", SO.TenantQuota);
+  obs::log()
+      .event(obs::LogLevel::Info, "service.listening")
+      .str("socket", Opts.Socket)
+      .num("port", Opts.Port >= 0 ? static_cast<uint64_t>(Server.port()) : 0)
+      .num("workers", SO.Workers)
+      .num("queue_depth", SO.QueueDepth)
+      .num("event_loops", SO.EventLoops)
+      .num("max_inflight", SO.MaxInflight)
+      .num("tenant_quota", SO.TenantQuota);
 
   Server.run();
 
@@ -74,12 +71,10 @@ int tool::runServe(const cli::CliOptions &Opts) {
   // --trace-out snapshots that one-shot runs write at process exit — so
   // a SIGTERM'd daemon is not blind (the snapshots used to be lost).
   int Rc = 0;
-  if constexpr (obs::kEnabled) {
-    Server.flightRecorder().dump(obs::log(), "drain", /*MinGapNs=*/0);
-    obs::log()
-        .event(obs::LogLevel::Info, "service.drained")
-        .num("requests_served", Server.requestsServed());
-  }
+  Server.flightRecorder().dump(obs::log(), "drain", /*MinGapNs=*/0);
+  obs::log()
+      .event(obs::LogLevel::Info, "service.drained")
+      .num("requests_served", Server.requestsServed());
   if (!Opts.FlightRecordOut.empty()) {
     std::ofstream Out(Opts.FlightRecordOut);
     if (!Out) {

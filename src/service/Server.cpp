@@ -12,7 +12,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cmath>
 #include <csignal>
 #include <cstring>
 #include <fcntl.h>
@@ -162,9 +161,8 @@ bool Server::start(std::string &Err) {
   for (const char *Name :
        {"service.shed", "service.overloaded", "service.aborted",
         "service.requests_aborted", "service.read_timeouts",
-        "service.accept_throttled", "service.loop.wakeups",
-        "service.loop.events", "service.loop.frames", "service.loop.batches",
-        "service.connections", "service.timeouts"})
+        "service.loop.wakeups", "service.loop.events", "service.loop.frames",
+        "service.loop.batches", "service.connections", "service.timeouts"})
     obs::metrics().counter(Name);
 
   unsigned NumLoops = std::max(1u, Opts.EventLoops);
@@ -219,10 +217,9 @@ void Server::beginDrain() {
   bool Expected = false;
   if (!Draining.compare_exchange_strong(Expected, true))
     return;
-  if constexpr (obs::kEnabled)
-    obs::log()
-        .event(obs::LogLevel::Info, "service.drain_begin")
-        .num("requests_served", requestsServed());
+  obs::log()
+      .event(obs::LogLevel::Info, "service.drain_begin")
+      .num("requests_served", requestsServed());
   for (auto &L : Loops)
     L->beginDrain();
 }
@@ -256,46 +253,20 @@ void Server::run() {
 }
 
 void Server::acceptLoop() {
-  // Token-bucket accept throttle: refilled at AcceptRate tokens/second
-  // up to AcceptBurst; an empty bucket parks the listeners (the backlog
-  // queues the peers) instead of accept-and-close churn.
-  double Tokens = std::max(1u, Opts.AcceptBurst);
-  auto LastRefill = std::chrono::steady_clock::now();
-
   while (!Draining.load(std::memory_order_acquire)) {
-    bool Throttled = false;
-    int Timeout = -1;
-    if (Opts.AcceptRate > 0.0) {
-      auto Now = std::chrono::steady_clock::now();
-      double Elapsed =
-          std::chrono::duration<double>(Now - LastRefill).count();
-      LastRefill = Now;
-      Tokens = std::min(Tokens + Elapsed * Opts.AcceptRate,
-                        double(std::max(1u, Opts.AcceptBurst)));
-      if (Tokens < 1.0) {
-        Throttled = true;
-        Timeout = std::max(
-            1, static_cast<int>(
-                   std::ceil((1.0 - Tokens) / Opts.AcceptRate * 1000.0)));
-        obs::metrics().counter("service.accept_throttled").inc();
-      }
-    }
-
     pollfd Fds[3];
     nfds_t N = 0;
     Fds[N++] = pollfd{WakePipe[0], POLLIN, 0};
     int UnixSlot = -1, TcpSlot = -1;
-    if (!Throttled) {
-      if (UnixFd >= 0) {
-        UnixSlot = static_cast<int>(N);
-        Fds[N++] = pollfd{UnixFd, POLLIN, 0};
-      }
-      if (TcpFd >= 0) {
-        TcpSlot = static_cast<int>(N);
-        Fds[N++] = pollfd{TcpFd, POLLIN, 0};
-      }
+    if (UnixFd >= 0) {
+      UnixSlot = static_cast<int>(N);
+      Fds[N++] = pollfd{UnixFd, POLLIN, 0};
     }
-    int Rc = ::poll(Fds, N, Timeout);
+    if (TcpFd >= 0) {
+      TcpSlot = static_cast<int>(N);
+      Fds[N++] = pollfd{TcpFd, POLLIN, 0};
+    }
+    int Rc = ::poll(Fds, N, -1);
     if (Rc < 0) {
       if (errno == EINTR)
         continue;
@@ -315,15 +286,12 @@ void Server::acceptLoop() {
       int Client = ::accept(Fds[Slot].fd, nullptr, nullptr);
       if (Client < 0)
         continue;
-      if (Opts.AcceptRate > 0.0)
-        Tokens -= 1.0;
       obs::metrics().counter("service.connections").inc();
       std::string Peer = (Slot == UnixSlot ? "unix:" : "tcp:") +
                          std::to_string(Client);
-      if constexpr (obs::kEnabled)
-        obs::log()
-            .event(obs::LogLevel::Debug, "service.connect")
-            .str("peer", Peer);
+      obs::log()
+          .event(obs::LogLevel::Debug, "service.connect")
+          .str("peer", Peer);
       Loops[NextLoopIdx++ % Loops.size()]->adoptConnection(
           Client, std::move(Peer));
     }
@@ -341,11 +309,10 @@ void Server::onFrame(EventLoop &Loop, uint64_t ConnId, uint64_t Seq,
   if (!Json::parse(Frame, Request, Err)) {
     // Answer with the parse error, then drop the connection — framing
     // is unrecoverable after a malformed payload.
-    if constexpr (obs::kEnabled)
-      obs::log()
-          .event(obs::LogLevel::Warn, "service.bad_frame")
-          .str("peer", Peer)
-          .str("error", Err);
+    obs::log()
+        .event(obs::LogLevel::Warn, "service.bad_frame")
+        .str("peer", Peer)
+        .str("error", Err);
     EventLoop::Response R;
     R.ConnId = ConnId;
     R.Seq = Seq;
@@ -443,13 +410,10 @@ void Server::submitAnalyze(Json Request, const std::string &Peer,
     Deadline = std::chrono::steady_clock::now() +
                std::chrono::milliseconds(Opts.RequestTimeoutMs);
 
-  std::unique_ptr<obs::RequestContext> Ctx;
-  if (telemetryOn()) {
-    Ctx = std::make_unique<obs::RequestContext>(
-        NextRequestId.fetch_add(1, std::memory_order_relaxed), Peer,
-        Request.getString("op", "analyze"));
-    Ctx->Unit = Request.getString("unit", "");
-  }
+  auto Ctx = std::make_unique<obs::RequestContext>(
+      NextRequestId.fetch_add(1, std::memory_order_relaxed), Peer,
+      Request.getString("op", "analyze"));
+  Ctx->Unit = Request.getString("unit", "");
   std::string Tenant = Request.getString("tenant", "");
   if (Tenant.empty())
     Tenant = Peer; // default: one quota bucket per connection
@@ -478,8 +442,7 @@ void Server::submitAnalyze(Json Request, const std::string &Peer,
       J.Request = std::move(Request);
       J.Deadline = Deadline;
       J.Tenant = std::move(Tenant);
-      if (Ctx)
-        Ctx->begin(obs::ReqPhase::Queue);
+      Ctx->begin(obs::ReqPhase::Queue);
       J.Ctx = std::move(Ctx);
       J.Done = std::move(Done);
       Queue.push_back(std::move(J));
@@ -494,29 +457,25 @@ void Server::submitAnalyze(Json Request, const std::string &Peer,
   if (std::strcmp(Reject, "tenant") == 0)
     obs::metrics().counter("service.overloaded.tenant").inc();
   unsigned Retry = retryAfterMsEstimate();
-  if constexpr (obs::kEnabled) {
-    if (Ctx) {
-      // The rejection is the whole life of this request: its queue wait
-      // is the read-to-rejection interval, which the flight record and
-      // the dump below surface.
-      uint64_t Now = obs::nowNs();
-      Ctx->setSpan(obs::ReqPhase::Queue, Ctx->startNs(),
-                   std::max<uint64_t>(1, Now - Ctx->startNs()));
-      Ctx->Outcome = "overloaded";
-      obs::log()
-          .event(obs::LogLevel::Warn, "service.overloaded")
-          .num("req", Ctx->id())
-          .str("unit", Ctx->Unit)
-          .str("peer", Ctx->Peer)
-          .str("reason", Reject)
-          .num("queue_depth", Opts.QueueDepth)
-          .num("retry_after_ms", Retry)
-          .num("queue_wait_ns", Ctx->phaseNs(obs::ReqPhase::Queue));
-      finishRequest(*Ctx);
-      Flight.dump(obs::log(), "overload");
-      Ctx.reset(); // finalized here; Done gets no context
-    }
-  }
+  // The rejection is the whole life of this request: its queue wait
+  // is the read-to-rejection interval, which the flight record and
+  // the dump below surface.
+  uint64_t Now = obs::nowNs();
+  Ctx->setSpan(obs::ReqPhase::Queue, Ctx->startNs(),
+               std::max<uint64_t>(1, Now - Ctx->startNs()));
+  Ctx->Outcome = "overloaded";
+  obs::log()
+      .event(obs::LogLevel::Warn, "service.overloaded")
+      .num("req", Ctx->id())
+      .str("unit", Ctx->Unit)
+      .str("peer", Ctx->Peer)
+      .str("reason", Reject)
+      .num("queue_depth", Opts.QueueDepth)
+      .num("retry_after_ms", Retry)
+      .num("queue_wait_ns", Ctx->phaseNs(obs::ReqPhase::Queue));
+  finishRequest(*Ctx);
+  Flight.dump(obs::log(), "overload");
+  Ctx.reset(); // finalized here; Done gets no context
   Json R = errorResponse("overloaded");
   R.set("retryAfterMs", Json::integer(static_cast<int64_t>(Retry)));
   R.set("reason", Json::string(Reject));
@@ -534,8 +493,7 @@ void Server::workerLoop() {
       J = std::move(Queue.front());
       Queue.pop_front();
     }
-    if (J.Ctx)
-      J.Ctx->end(obs::ReqPhase::Queue);
+    J.Ctx->end(obs::ReqPhase::Queue);
 
     Json Response;
     bool Shed =
@@ -551,21 +509,17 @@ void Server::workerLoop() {
       Response.set("shed", Json::boolean(true));
       Response.set("retryAfterMs",
                    Json::integer(static_cast<int64_t>(Retry)));
-      if constexpr (obs::kEnabled) {
-        if (J.Ctx) {
-          J.Ctx->Outcome = "shed";
-          obs::log()
-              .event(obs::LogLevel::Warn, "service.shed")
-              .num("req", J.Ctx->id())
-              .str("unit", J.Ctx->Unit)
-              .str("peer", J.Ctx->Peer)
-              .num("queue_ns", J.Ctx->phaseNs(obs::ReqPhase::Queue))
-              .num("retry_after_ms", Retry);
-        }
-      }
+      J.Ctx->Outcome = "shed";
+      obs::log()
+          .event(obs::LogLevel::Warn, "service.shed")
+          .num("req", J.Ctx->id())
+          .str("unit", J.Ctx->Unit)
+          .str("peer", J.Ctx->Peer)
+          .num("queue_ns", J.Ctx->phaseNs(obs::ReqPhase::Queue))
+          .num("retry_after_ms", Retry);
     } else {
       uint64_t T0 = nowNs();
-      Response = handleAnalyze(J.Request, J.Deadline, J.Ctx.get());
+      Response = handleAnalyze(J.Request, J.Deadline, *J.Ctx);
       uint64_t Dur = nowNs() - T0;
       obs::metrics().histogram("service.analyze_ns").record(Dur);
       obs::tracer().span(obs::EventKind::PassSpan, T0, Dur,
@@ -590,10 +544,9 @@ void Server::workerLoop() {
 
 Json Server::handleAnalyze(const Json &Request,
                            std::chrono::steady_clock::time_point Deadline,
-                           obs::RequestContext *Ctx) {
+                           obs::RequestContext &Ctx) {
   auto Fail = [&](const std::string &Msg) {
-    if (Ctx)
-      Ctx->Outcome = "error";
+    Ctx.Outcome = "error";
     return errorResponse(Msg);
   };
   std::string Unit = Request.getString("unit", "");
@@ -615,42 +568,35 @@ Json Server::handleAnalyze(const Json &Request,
   Params.InjectYields = Request.getBool("injectYields", false);
   Params.YieldSeed = Request.getUint("yieldSeed", 1);
   Params.Deadline = Deadline;
-  Params.Telemetry = Ctx;
+  Params.Telemetry = &Ctx;
   std::string ModeText = Request.getString("mode", "inferred");
   if (!parseAtomicMode(ModeText, Params.RunMode))
     return Fail("analyze: bad mode \"" + ModeText + "\"");
 
   AnalyzeOutcome Out = Analyzer.analyze(Unit, Source->asString(), Params);
-  if (Ctx) {
-    Ctx->CacheHits = Out.CacheHits;
-    Ctx->CacheMisses = Out.CacheMisses;
-    Ctx->DirtyCone = static_cast<uint32_t>(Out.DirtyConeSections.size());
-    Ctx->Sections = Out.Sections;
-  }
+  Ctx.CacheHits = Out.CacheHits;
+  Ctx.CacheMisses = Out.CacheMisses;
+  Ctx.DirtyCone = static_cast<uint32_t>(Out.DirtyConeSections.size());
+  Ctx.Sections = Out.Sections;
 
   Json R = Json::object();
   R.set("ok", Json::boolean(Out.Ok));
   if (Out.TimedOut) {
     obs::metrics().counter("service.timeouts").inc();
-    if constexpr (obs::kEnabled) {
-      if (Ctx) {
-        Ctx->Outcome = "timeout";
-        obs::log()
-            .event(obs::LogLevel::Warn, "service.timeout")
-            .num("req", Ctx->id())
-            .str("unit", Ctx->Unit)
-            .str("peer", Ctx->Peer)
-            .num("timeout_ms", Opts.RequestTimeoutMs)
-            .num("queue_ns", Ctx->phaseNs(obs::ReqPhase::Queue));
-      }
-    }
+    Ctx.Outcome = "timeout";
+    obs::log()
+        .event(obs::LogLevel::Warn, "service.timeout")
+        .num("req", Ctx.id())
+        .str("unit", Ctx.Unit)
+        .str("peer", Ctx.Peer)
+        .num("timeout_ms", Opts.RequestTimeoutMs)
+        .num("queue_ns", Ctx.phaseNs(obs::ReqPhase::Queue));
     R.set("error", Json::string("timeout"));
     R.set("timedOut", Json::boolean(true));
     return R;
   }
   if (!Out.Ok) {
-    if (Ctx)
-      Ctx->Outcome = "error";
+    Ctx.Outcome = "error";
     R.set("error", Json::string(Out.Error));
     return R;
   }
@@ -756,8 +702,6 @@ void Server::finalizeRequest(std::unique_ptr<obs::RequestContext> Ctx,
                              bool Aborted) {
   if (!Ctx)
     return;
-  if constexpr (!obs::kEnabled)
-    return;
   if (Aborted) {
     // The peer vanished before its response flushed; the analysis result
     // is discarded but the request's telemetry still lands, marked so.
@@ -778,8 +722,6 @@ void Server::finalizeRequest(std::unique_ptr<obs::RequestContext> Ctx,
 }
 
 void Server::finishRequest(obs::RequestContext &Ctx) {
-  if constexpr (!obs::kEnabled)
-    return;
   uint64_t Total = obs::nowNs() - Ctx.startNs();
   obs::MetricsRegistry &M = obs::metrics();
   using obs::ReqPhase;
@@ -860,14 +802,14 @@ Json Server::handleMetrics() {
         Hists.set(Name, std::move(O));
       });
   R.set("histograms", std::move(Hists));
-  R.set("telemetry", Json::boolean(telemetryOn()));
+  R.set("telemetry", Json::boolean(true));
   return R;
 }
 
 Json Server::handleFlightRecord() {
   Json R = Json::object();
   R.set("ok", Json::boolean(true));
-  R.set("telemetry", Json::boolean(telemetryOn()));
+  R.set("telemetry", Json::boolean(true));
   R.set("capacity", Json::integer(static_cast<int64_t>(Flight.capacity())));
   R.set("recorded", Json::integer(static_cast<int64_t>(Flight.recorded())));
   Json Records = Json::array();

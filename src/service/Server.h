@@ -10,10 +10,9 @@
 /// service/Protocol.h, and serves `analyze` requests from a shared
 /// IncrementalAnalyzer backed by the sharded content-hashed SummaryCache.
 ///
-/// Threading model: one accept thread (the caller of run()) with a
-/// token-bucket accept throttle, N event-loop threads (service/
-/// EventLoop.h) each owning an epoll set of non-blocking connections, and
-/// a fixed worker pool executing `analyze` jobs from a bounded queue.
+/// Threading model: one accept thread (the caller of run()), N event-loop
+/// threads (service/EventLoop.h) each owning an epoll set of non-blocking
+/// connections, and a fixed worker pool executing `analyze` jobs from a bounded queue.
 /// Cheap ops (ping/stats/invalidate/metrics/flightrecord/shutdown) run
 /// inline on the loop thread.
 ///
@@ -84,11 +83,6 @@ struct ServerOptions {
   /// Defaults applied when an analyze request omits k / jobs.
   unsigned DefaultK = 3;
   unsigned DefaultJobs = 1;
-  /// Arms the request-scoped telemetry (phase spans, per-request
-  /// histograms, flight records, per-request debug logs). Forced off in
-  /// LOCKIN_OBS=OFF builds; bench_service turns it off at runtime to
-  /// measure the armed-vs-dormant overhead in one binary.
-  bool Telemetry = true;
   /// Completed-request summaries the flight recorder retains.
   size_t FlightCapacity = 256;
 
@@ -101,10 +95,6 @@ struct ServerOptions {
   /// Mid-frame read deadline (slow-loris defense); 0 disables. Idle
   /// connections between frames are never timed out.
   unsigned ReadTimeoutMs = 0;
-  /// Token-bucket accept throttle: sustained accepts/second (0 = off)
-  /// and burst size.
-  double AcceptRate = 0.0;
-  unsigned AcceptBurst = 64;
   /// Test-only syscall fault injection for the event loops.
   std::shared_ptr<FaultInjector> Faults;
 };
@@ -164,8 +154,8 @@ private:
     std::chrono::steady_clock::time_point Deadline{};
     std::string Tenant;
     DoneFn Done;
-    /// Telemetry carrier; null when telemetry is off. Travels with the
-    /// job so the queue wait is part of the request's phase record.
+    /// Telemetry carrier. Travels with the job so the queue wait is part
+    /// of the request's phase record.
     std::unique_ptr<obs::RequestContext> Ctx;
   };
 
@@ -177,7 +167,7 @@ private:
                       const std::string &Peer);
   Json handleAnalyze(const Json &Request,
                      std::chrono::steady_clock::time_point Deadline,
-                     obs::RequestContext *Ctx);
+                     obs::RequestContext &Ctx);
   Json handleStats();
   Json handleInvalidate(const Json &Request);
   Json handleMetrics();
@@ -189,7 +179,6 @@ private:
   /// the backlog depth per worker, clamped to [1ms, 60s].
   unsigned retryAfterMsEstimate() const;
 
-  bool telemetryOn() const { return obs::kEnabled && Opts.Telemetry; }
   /// Rolls a finished request into histograms, the per-request trace
   /// track, the flight recorder, and the debug log.
   void finishRequest(obs::RequestContext &Ctx);

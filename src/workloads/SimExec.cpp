@@ -136,9 +136,8 @@ SimOutcome simulateLocks(const SimParams &Params, const OpSource &Source) {
       }
     }
     if (Conflict) {
-      if constexpr (obs::kEnabled)
-        obs::tracer().span(obs::EventKind::SimWaitSpan, TS.Now,
-                           EarliestConflictEnd - TS.Now, 0, Best + 1);
+      obs::tracer().span(obs::EventKind::SimWaitSpan, TS.Now,
+                         EarliestConflictEnd - TS.Now, 0, Best + 1);
       Outcome.BlockedCycles += EarliestConflictEnd - TS.Now;
       TS.Now = EarliestConflictEnd; // wake when the blocker releases
       continue;
@@ -148,9 +147,8 @@ SimOutcome simulateLocks(const SimParams &Params, const OpSource &Source) {
         Params.LockEntryCost + Params.LockNodeCost * nodeCount(
                                                          TS.Pending.Locks);
     uint64_t End = TS.Now + Overhead + TS.Pending.Duration;
-    if constexpr (obs::kEnabled)
-      obs::tracer().span(obs::EventKind::SimOpSpan, TS.Now, End - TS.Now,
-                         TS.OpIndex - 1, Best + 1);
+    obs::tracer().span(obs::EventKind::SimOpSpan, TS.Now, End - TS.Now,
+                       TS.OpIndex - 1, Best + 1);
     Running.push_back({Best, End, TS.Pending.Locks});
     TS.Now = End;
     TS.HasPending = false;
@@ -230,18 +228,15 @@ SimOutcome simulateStm(const SimParams &Params, const OpSource &Source) {
     }
     TS.InFlight = false;
     if (!Valid) {
-      if constexpr (obs::kEnabled)
-        obs::tracer().span(obs::EventKind::SimAbort, TS.Now, 0, 0,
-                           Best + 1);
+      obs::tracer().span(obs::EventKind::SimAbort, TS.Now, 0, 0, Best + 1);
       ++Outcome.Aborts;
       ++TS.Attempts;
       // Brief backoff before the retry re-runs the whole body.
       TS.Now += TS.Attempts < 10 ? (1ull << TS.Attempts) : 1024;
       continue;
     }
-    if constexpr (obs::kEnabled)
-      obs::tracer().span(obs::EventKind::SimOpSpan, TS.Start,
-                         TS.Now - TS.Start, TS.OpIndex - 1, Best + 1);
+    obs::tracer().span(obs::EventKind::SimOpSpan, TS.Start,
+                       TS.Now - TS.Start, TS.OpIndex - 1, Best + 1);
     for (const Access &A : TS.Pending.Footprint)
       if (A.Write)
         LastWrite[A.Addr] = TS.Now;
@@ -257,11 +252,9 @@ SimOutcome sim::simulate(const SimParams &Params, const OpSource &Source) {
   SimOutcome Outcome = Params.Config == LockConfig::Stm
                            ? simulateStm(Params, Source)
                            : simulateLocks(Params, Source);
-  if constexpr (obs::kEnabled) {
-    obs::MetricsRegistry &Reg = obs::metrics();
-    Reg.counter("sim.commits").add(Outcome.Commits);
-    Reg.counter("sim.aborts").add(Outcome.Aborts);
-    Reg.counter("sim.blocked_cycles").add(Outcome.BlockedCycles);
-  }
+  obs::MetricsRegistry &Reg = obs::metrics();
+  Reg.counter("sim.commits").add(Outcome.Commits);
+  Reg.counter("sim.aborts").add(Outcome.Aborts);
+  Reg.counter("sim.blocked_cycles").add(Outcome.BlockedCycles);
   return Outcome;
 }

@@ -64,17 +64,7 @@ AdaptiveConfig manualConfig() {
 // Rung 1: reader bias
 //===----------------------------------------------------------------------===//
 
-// Tests that pump per-node profiler slots by hand need registered nodes;
-// with LOCKIN_OBS=OFF nothing registers (ObsId stays 0) and the policy
-// ladder is deliberately inert, so those tests skip.
-#define SKIP_WITHOUT_OBS()                                                     \
-  do {                                                                         \
-    if constexpr (!obs::kEnabled)                                              \
-      GTEST_SKIP() << "built with LOCKIN_OBS=OFF";                             \
-  } while (0)
-
 TEST(AdaptiveBias, SetAfterHysteresisClearAfterShift) {
-  SKIP_WITHOUT_OBS();
   Rig R(manualConfig());
   LockNode &Leaf = R.RT.leafNode(0, 0x1000);
   ASSERT_NE(Leaf.ObsId, 0u);
@@ -111,7 +101,6 @@ TEST(AdaptiveBias, SetAfterHysteresisClearAfterShift) {
 }
 
 TEST(AdaptiveBias, DeadBandNeverPingPongs) {
-  SKIP_WITHOUT_OBS();
   Rig R(manualConfig());
   LockNode &Leaf = R.RT.leafNode(0, 0x1000);
   R.Eng.tick();
@@ -130,7 +119,6 @@ TEST(AdaptiveBias, DeadBandNeverPingPongs) {
 }
 
 TEST(AdaptiveBias, UncontendedReadsNeverBias) {
-  SKIP_WITHOUT_OBS();
   Rig R(manualConfig());
   LockNode &Leaf = R.RT.leafNode(0, 0x1000);
   R.Eng.tick();
@@ -180,7 +168,6 @@ TEST(AdaptiveBias, WriterMakesProgressUnderReaderBias) {
 //===----------------------------------------------------------------------===//
 
 TEST(AdaptiveEscalate, StripesInstalledSizedAndRemoved) {
-  SKIP_WITHOUT_OBS();
   AdaptiveConfig C = manualConfig();
   C.EscalateLeafPressure = 4; // reachable without creating 2048 leaves
   Rig R(C);

@@ -632,9 +632,6 @@ TEST(FlightRecorderTest, DumpRateLimit) {
 }
 
 TEST(LockProfilerTest, ContendedTwoThreads) {
-  if constexpr (!kEnabled)
-    GTEST_SKIP() << "built with LOCKIN_OBS=OFF";
-
   MetricsRegistry Reg;
   LockProfiler Prof;
   Prof.setEnabled(true);
@@ -691,9 +688,6 @@ TEST(LockProfilerTest, ContendedTwoThreads) {
 }
 
 TEST(LockProfilerTest, SectionRollupAndNestedSkips) {
-  if constexpr (!kEnabled)
-    GTEST_SKIP() << "built with LOCKIN_OBS=OFF";
-
   MetricsRegistry Reg;
   LockProfiler Prof;
   Prof.setEnabled(true);
@@ -731,14 +725,12 @@ TEST(LockProfilerTest, DisabledRecordsNothing) {
     Ctx.acquireAll();
     Ctx.releaseAll();
   }
-  if constexpr (kEnabled) {
-    uint32_t LeafId = RT.leafNode(0, 0x40).ObsId;
-    ASSERT_NE(LeafId, 0u);
-    EXPECT_EQ(Prof.nodeSlot(LeafId).Acquires.value(), 0u);
-    EXPECT_EQ(Prof.nodeSlot(LeafId).Contentions.value(), 0u);
-    // The plain counters still flow into the injected registry.
-    EXPECT_EQ(RT.stats().AcquireAllCalls, 1u);
-  }
+  uint32_t LeafId = RT.leafNode(0, 0x40).ObsId;
+  ASSERT_NE(LeafId, 0u);
+  EXPECT_EQ(Prof.nodeSlot(LeafId).Acquires.value(), 0u);
+  EXPECT_EQ(Prof.nodeSlot(LeafId).Contentions.value(), 0u);
+  // The plain counters still flow into the injected registry.
+  EXPECT_EQ(RT.stats().AcquireAllCalls, 1u);
 }
 
 } // namespace

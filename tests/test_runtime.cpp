@@ -348,13 +348,11 @@ TEST(Protocol, NestedSectionsAcquireNothing) {
   EXPECT_EQ(RT.regionNode(1).grantedCount(Mode::X), 0u);
   EXPECT_TRUE(RT.regionNode(1).tryAcquire(Mode::X));
   RT.regionNode(1).release(Mode::X);
-  if constexpr (lockin::obs::kEnabled) {
-    // Stats are buffered per context; flush before reading the aggregate.
-    T.flushStats();
-    EXPECT_EQ(RT.stats().AcquireAllCalls, 1u);
-    EXPECT_EQ(RT.stats().NestedSkips, 1u);
-    EXPECT_EQ(RT.stats().NodeAcquisitions, 2u); // root IX + region X
-  }
+  // Stats are buffered per context; flush before reading the aggregate.
+  T.flushStats();
+  EXPECT_EQ(RT.stats().AcquireAllCalls, 1u);
+  EXPECT_EQ(RT.stats().NestedSkips, 1u);
+  EXPECT_EQ(RT.stats().NodeAcquisitions, 2u); // root IX + region X
   T.releaseAll();
   EXPECT_EQ(T.nestingLevel(), 1);
   // Still holding the outer locks.

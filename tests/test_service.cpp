@@ -567,6 +567,35 @@ Json opRequest(const char *Op) {
   return R;
 }
 
+// The first Server test, so no earlier request in this process has
+// registered a service counter by bumping it: every one a fresh daemon's
+// scrape shows must come from Server::start's pre-registration list.
+TEST(Server, MetricsScrapeShowsPreRegisteredCountersBeforeAnyAnalyze) {
+  std::string Path = testSocketPath("prereg");
+  ServerOptions Opts;
+  Opts.UnixSocketPath = Path;
+  RunningServer RS(Opts);
+  ASSERT_TRUE(RS.Started);
+
+  Client C;
+  std::string Err;
+  ASSERT_TRUE(C.connectUnix(Path, Err)) << Err;
+  Json Resp;
+  ASSERT_TRUE(C.call(opRequest("metrics"), Resp, Err)) << Err;
+  ASSERT_TRUE(Resp.getBool("ok", false));
+  EXPECT_TRUE(Resp.getBool("telemetry", false));
+  std::string Prom = Resp.getString("prometheus", "");
+  for (const char *Name :
+       {"service_shed", "service_overloaded", "service_aborted",
+        "service_requests_aborted", "service_read_timeouts",
+        "service_loop_wakeups", "service_loop_events", "service_loop_frames",
+        "service_loop_batches", "service_connections", "service_timeouts"}) {
+    std::string Type =
+        std::string("# TYPE lockin_") + Name + "_total counter\n";
+    EXPECT_NE(Prom.find(Type), std::string::npos) << Type;
+  }
+}
+
 TEST(Server, EndToEndColdWarmInvalidate) {
   std::string Path = testSocketPath("e2e");
   ServerOptions Opts;
@@ -716,26 +745,24 @@ TEST(Server, BackpressureAnswersOverloaded) {
   EXPECT_GE(OverloadedCount.load(), 1u);
   EXPECT_EQ(OkCount.load() + OverloadedCount.load(), 4u);
 
-  if constexpr (obs::kEnabled) {
-    // Every rejection left an "overloaded" flight record carrying the
-    // read-to-rejection queue wait.
-    Client C;
-    std::string Err;
-    ASSERT_TRUE(C.connectUnix(Path, Err)) << Err;
-    Json Resp;
-    ASSERT_TRUE(C.call(opRequest("flightrecord"), Resp, Err)) << Err;
-    const Json *Records = Resp.get("records");
-    ASSERT_NE(Records, nullptr);
-    unsigned OverloadRecords = 0;
-    for (const Json &R : Records->items())
-      if (R.getString("outcome", "") == "overloaded") {
-        ++OverloadRecords;
-        const Json *Phases = R.get("phases_ns");
-        ASSERT_NE(Phases, nullptr);
-        EXPECT_GT(Phases->getUint("queue", 0), 0u);
-      }
-    EXPECT_EQ(OverloadRecords, OverloadedCount.load());
-  }
+  // Every rejection left an "overloaded" flight record carrying the
+  // read-to-rejection queue wait.
+  Client C;
+  std::string Err;
+  ASSERT_TRUE(C.connectUnix(Path, Err)) << Err;
+  Json Resp;
+  ASSERT_TRUE(C.call(opRequest("flightrecord"), Resp, Err)) << Err;
+  const Json *Records = Resp.get("records");
+  ASSERT_NE(Records, nullptr);
+  unsigned OverloadRecords = 0;
+  for (const Json &R : Records->items())
+    if (R.getString("outcome", "") == "overloaded") {
+      ++OverloadRecords;
+      const Json *Phases = R.get("phases_ns");
+      ASSERT_NE(Phases, nullptr);
+      EXPECT_GT(Phases->getUint("queue", 0), 0u);
+    }
+  EXPECT_EQ(OverloadRecords, OverloadedCount.load());
 }
 
 TEST(Server, RequestTimeoutCancelsSlowAnalyze) {
@@ -757,20 +784,18 @@ TEST(Server, RequestTimeoutCancelsSlowAnalyze) {
   EXPECT_TRUE(Resp.getBool("timedOut", false));
   EXPECT_EQ(Resp.getString("error", ""), "timeout");
 
-  if constexpr (obs::kEnabled) {
-    ASSERT_TRUE(C.call(opRequest("flightrecord"), Resp, Err)) << Err;
-    const Json *Records = Resp.get("records");
-    ASSERT_NE(Records, nullptr);
-    // The deadline can fire inside analysis ("timeout") or already be
-    // blown when a worker dequeues the job ("shed") — both are the same
-    // client-visible contract.
-    bool SawTimeout = false;
-    for (const Json &R : Records->items()) {
-      std::string Outcome = R.getString("outcome", "");
-      SawTimeout = SawTimeout || Outcome == "timeout" || Outcome == "shed";
-    }
-    EXPECT_TRUE(SawTimeout);
+  ASSERT_TRUE(C.call(opRequest("flightrecord"), Resp, Err)) << Err;
+  const Json *Records = Resp.get("records");
+  ASSERT_NE(Records, nullptr);
+  // The deadline can fire inside analysis ("timeout") or already be
+  // blown when a worker dequeues the job ("shed") — both are the same
+  // client-visible contract.
+  bool SawTimeout = false;
+  for (const Json &R : Records->items()) {
+    std::string Outcome = R.getString("outcome", "");
+    SawTimeout = SawTimeout || Outcome == "timeout" || Outcome == "shed";
   }
+  EXPECT_TRUE(SawTimeout);
 }
 
 TEST(Server, SigtermDrainsWithZeroDroppedRequests) {
@@ -843,24 +868,22 @@ TEST(Server, MetricsOpServesLivePrometheus) {
   ASSERT_NE(Counters, nullptr);
   EXPECT_GE(Counters->getUint("service.requests.analyze", 0), 1u);
 
-  if constexpr (obs::kEnabled) {
-    EXPECT_TRUE(Resp.getBool("telemetry", false));
-    // Per-request phase histograms, live after one request.
-    for (const char *Name :
-         {"lockin_service_total_ns_count", "lockin_service_queue_ns_count",
-          "lockin_service_phase_parse_ns_count",
-          "lockin_service_phase_fingerprint_ns_count",
-          "lockin_service_phase_analyze_ns_count",
-          "lockin_service_phase_render_ns_count"})
-      EXPECT_NE(Prom.find(Name), std::string::npos) << Name;
-    const Json *Hists = Resp.get("histograms");
-    ASSERT_NE(Hists, nullptr);
-    const Json *Total = Hists->get("service.total_ns");
-    ASSERT_NE(Total, nullptr);
-    EXPECT_GE(Total->getUint("count", 0), 1u);
-    EXPECT_GT(Total->getUint("p50", 0), 0u);
-    EXPECT_GE(Total->getUint("p99", 0), Total->getUint("p50", 0));
-  }
+  EXPECT_TRUE(Resp.getBool("telemetry", false));
+  // Per-request phase histograms, live after one request.
+  for (const char *Name :
+       {"lockin_service_total_ns_count", "lockin_service_queue_ns_count",
+        "lockin_service_phase_parse_ns_count",
+        "lockin_service_phase_fingerprint_ns_count",
+        "lockin_service_phase_analyze_ns_count",
+        "lockin_service_phase_render_ns_count"})
+    EXPECT_NE(Prom.find(Name), std::string::npos) << Name;
+  const Json *Hists = Resp.get("histograms");
+  ASSERT_NE(Hists, nullptr);
+  const Json *Total = Hists->get("service.total_ns");
+  ASSERT_NE(Total, nullptr);
+  EXPECT_GE(Total->getUint("count", 0), 1u);
+  EXPECT_GT(Total->getUint("p50", 0), 0u);
+  EXPECT_GE(Total->getUint("p99", 0), Total->getUint("p50", 0));
 }
 
 TEST(Server, FlightRecordOpListsCompletedRequests) {
@@ -885,11 +908,6 @@ TEST(Server, FlightRecordOpListsCompletedRequests) {
   ASSERT_TRUE(C.call(opRequest("flightrecord"), Resp, Err)) << Err;
   ASSERT_TRUE(Resp.getBool("ok", false));
   EXPECT_EQ(Resp.getUint("capacity", 0), 4u);
-  if constexpr (!obs::kEnabled) {
-    EXPECT_FALSE(Resp.getBool("telemetry", true));
-    EXPECT_EQ(Resp.getUint("recorded", 99), 0u);
-    return;
-  }
   EXPECT_TRUE(Resp.getBool("telemetry", false));
   EXPECT_EQ(Resp.getUint("recorded", 0), 2u);
   const Json *Records = Resp.get("records");

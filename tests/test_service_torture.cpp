@@ -601,16 +601,14 @@ TEST(ServiceTorture, MidWriteDisconnectAbortsWithoutWedgingLoop) {
       << Err;
   EXPECT_TRUE(Resp.getBool("ok", false));
 
-  if constexpr (obs::kEnabled) {
-    // The aborted request's telemetry still landed, marked as such.
-    ASSERT_TRUE(Next.call(opRequest("flightrecord"), Resp, Err)) << Err;
-    bool SawAborted = false;
-    const Json *Records = Resp.get("records");
-    ASSERT_NE(Records, nullptr);
-    for (const Json &R : Records->items())
-      SawAborted = SawAborted || R.getString("outcome", "") == "aborted";
-    EXPECT_TRUE(SawAborted);
-  }
+  // The aborted request's telemetry still landed, marked as such.
+  ASSERT_TRUE(Next.call(opRequest("flightrecord"), Resp, Err)) << Err;
+  bool SawAborted = false;
+  const Json *Records = Resp.get("records");
+  ASSERT_NE(Records, nullptr);
+  for (const Json &R : Records->items())
+    SawAborted = SawAborted || R.getString("outcome", "") == "aborted";
+  EXPECT_TRUE(SawAborted);
 }
 
 TEST(ServiceTorture, ReadFaultAbortsConnectionButNotServer) {
