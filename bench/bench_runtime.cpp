@@ -11,8 +11,9 @@
 /// acquireAll / body / releaseAll over real data words — across thread
 /// counts and access mixes, with and without the contention-adaptive
 /// engine driving the run. Emits machine-readable JSON (default
-/// `BENCH_runtime.json`) so the performance trajectory of the runtime is
-/// tracked from PR to PR.
+/// `BENCH_runtime.json`), stamped with the host's nproc, the build type
+/// and the source commit, so the performance trajectory of the runtime is
+/// tracked from change to change.
 ///
 /// Scenarios:
 ///   uncontended_node_{S,X}  one thread, one LockNode, acquire+release
@@ -69,6 +70,23 @@ std::atomic<uint64_t> GlobalSink{0};
 unsigned hardwareThreads() {
   unsigned N = std::thread::hardware_concurrency();
   return N ? N : 1;
+}
+
+/// The commit of the checkout this binary was built from, suffixed
+/// `-dirty` when tracked files have uncommitted changes; "unknown" when
+/// git or the checkout is unavailable.
+std::string sourceCommit() {
+  FILE *P = popen("git -C '" LOCKIN_SOURCE_DIR "' describe --always --dirty "
+                  "--abbrev=12 2>/dev/null",
+                  "r");
+  if (!P)
+    return "unknown";
+  char Buf[64] = "";
+  std::string Out = std::fgets(Buf, sizeof(Buf), P) ? Buf : "";
+  pclose(P);
+  while (!Out.empty() && (Out.back() == '\n' || Out.back() == '\r'))
+    Out.pop_back();
+  return Out.empty() ? "unknown" : Out;
 }
 
 struct Result {
@@ -392,9 +410,10 @@ bool emitJson(const std::vector<Result> &Results,
     return false;
   }
   std::fprintf(F,
-               "{\n  \"bench\": \"runtime\",\n  \"schema\": 3,\n"
-               "  \"hw_concurrency\": %u,\n"
-               "  \"note\": \"RelWithDebInfo; rows with oversubscribed=true "
+               "{\n  \"bench\": \"runtime\",\n  \"schema\": 4,\n"
+               "  \"nproc\": %u,\n  \"build_type\": \"%s\",\n"
+               "  \"commit\": \"%s\",\n"
+               "  \"note\": \"rows with oversubscribed=true "
                "ran more threads than hardware threads; adaptive rows warm "
                "up untimed until the policy converges and report the final "
                "backend; elided=true rows run the section body with the "
@@ -402,7 +421,7 @@ bool emitJson(const std::vector<Result> &Results,
                "obs_overhead = lock profiler armed vs dormant, "
                "median of order-alternated paired reps\",\n"
                "  \"results\": [\n",
-               hardwareThreads());
+               hardwareThreads(), LOCKIN_BUILD_TYPE, sourceCommit().c_str());
   for (size_t I = 0; I < Results.size(); ++I) {
     const Result &R = Results[I];
     std::fprintf(F,

@@ -30,7 +30,8 @@
 /// request's *scheduled* arrival time — so queueing delay is charged to
 /// the server, not silently absorbed by a blocked client (no coordinated
 /// omission). The sweep first calibrates the warm closed-loop saturation
-/// throughput, then offers fractions of it (0.25x .. 2x). The 2x leg is
+/// throughput (best of several runs), then offers fractions of it
+/// (0.25x .. 2x). The 2x leg is
 /// the graceful-degradation probe: the daemon must shed (answer
 /// "overloaded" / deadline-shed) rather than let accepted latency run
 /// away — CI gates on shed>0 and bounded accepted p99 there.
@@ -547,14 +548,20 @@ int main(int Argc, char **Argv) {
   std::thread LoadRunner([&LoadDaemon] { LoadDaemon.run(); });
 
   std::string LoadSource = generate(2, 2, 2, 2, 0);
-  // Calibrate: warm closed-loop saturation with a few clients (the first
-  // requests prime the cache; their cold cost is amortized away by the
-  // request count).
-  PhaseStats Calib = runPhase(LoadOpts.UnixSocketPath, LoadSource,
-                              /*Clients=*/4, Quick ? 60 : 200,
-                              /*Force=*/false);
-  double SatRps = Calib.throughput();
-  std::printf("open-loop calibration: saturation %.0f req/s\n", SatRps);
+  // Calibrate: warm closed-loop saturation with a few clients, the best
+  // of several runs. One short run can land on a stall of the host and
+  // read half the real rate, and then the 2x leg offers less than
+  // saturation and sheds nothing. The first run also primes the cache.
+  constexpr unsigned CalibRuns = 5;
+  double SatRps = 0;
+  for (unsigned Run = 0; Run < CalibRuns; ++Run) {
+    PhaseStats Calib = runPhase(LoadOpts.UnixSocketPath, LoadSource,
+                                /*Clients=*/4, Quick ? 60 : 200,
+                                /*Force=*/false);
+    SatRps = std::max(SatRps, Calib.throughput());
+  }
+  std::printf("open-loop calibration: saturation %.0f req/s (best of %u)\n",
+              SatRps, CalibRuns);
 
   Json LoadReq = Json::object();
   LoadReq.set("op", Json::string("analyze"));

@@ -7,18 +7,18 @@
 /// \file
 /// The lock-contention profiler, layered on the metrics registry: every
 /// lock node the runtime creates registers here and gets a slot holding
-/// acquire counts, contention (parked) counts, and wait/hold-time log₂
+/// acquire counts, contention (queued) counts, and wait/hold-time log₂
 /// histograms; atomic sections tagged by the interpreter additionally get
 /// per-section rollups (entries, locks and nodes per entry, mode mix,
 /// nested skips) — live-execution counterparts of the paper's Table 2.
 ///
 /// Cost model: contention events and their wait times are recorded
-/// exactly (parking already costs microseconds); acquire counts, mode
-/// mix, hold times, and section rollups come from sampled sections (1 in
-/// kSampleEvery, recorded with weight kSampleEvery so reported counts
-/// stay in absolute units; every section when the tracer is armed,
-/// weight 1). Disabled, the profiler costs one relaxed load per
-/// acquireAll.
+/// exactly (a queued acquire already pays the node mutex and two clock
+/// reads); acquire counts, mode mix, hold times, and section rollups come
+/// from sampled sections (1 in kSampleEvery, recorded with weight
+/// kSampleEvery so reported counts stay in absolute units; every section
+/// when the tracer is armed, weight 1). Disabled, the profiler costs one
+/// relaxed load per acquireAll.
 ///
 /// Slot storage is a two-level chunked table: reads are lock-free
 /// (registration is mutexed, updates are relaxed atomics), and slot
@@ -54,11 +54,11 @@ struct LockNodeInfo {
 
 struct NodeSlot {
   Counter Acquires;        ///< sampled, weight-corrected
-  Counter Contentions;     ///< exact parked count
+  Counter Contentions;     ///< exact queued count
   Counter ModeCounts[5];   ///< sampled grant mode mix, weight-corrected
-  Histogram WaitNs;        ///< parked waits, exact
+  Histogram WaitNs;        ///< queued waits (spun or slept), exact
   Histogram HoldNs;        ///< sampled acquire-to-release times
-  /// Hashed-thread-id bitmap of parked waiters; popcount estimates the
+  /// Hashed-thread-id bitmap of queued waiters; popcount estimates the
   /// distinct contender count (the adaptive engine sizes stripe tables
   /// from it, and clears it after reading).
   std::atomic<uint64_t> ContenderMask{0};
@@ -70,7 +70,7 @@ struct SectionSlot {
   Counter Locks;         ///< descriptors protected, summed over entries
   Counter Nodes;         ///< hierarchy nodes acquired, summed over entries
   Counter ModeCounts[5]; ///< grant mode mix, summed over entries
-  Counter WaitNs;        ///< parked ns summed over entries, exact
+  Counter WaitNs;        ///< queued ns summed over entries, exact
   Counter HoldNs;        ///< section hold ns, sampled weight-corrected
 };
 

@@ -14,7 +14,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <mutex>
 
 namespace lockin {
@@ -37,20 +36,26 @@ inline void cpuRelax() {
 /// letting compatible holders (e.g. many S readers) overlap.
 ///
 /// The whole grant state lives in one atomic word: a 12-bit grant count
-/// per mode (IS, IX, S, SIX, X) plus a has-waiters bit. Uncontended
-/// acquire is a single CAS (compatibility is one AND against a
-/// precomputed conflict mask) and uncontended release a single fetch_sub;
-/// neither touches the mutex or the condition variable. A request that
-/// observes a conflict — or the waiter bit, which means barging would
-/// overtake parked threads — spins briefly and then parks on the FIFO
-/// ticket queue of the original design. Releases notify only when the
-/// waiter bit was set, so uncontended sections never pay a wakeup.
+/// per mode (IS, IX, S, SIX, X), a has-waiters bit and a head-parked bit.
+/// Uncontended acquire is a single fetch_add (compatibility is one AND
+/// against a precomputed conflict mask) and uncontended release a single
+/// fetch_sub; neither touches the mutex. A request that observes a
+/// conflict — or the waiter bit, which means barging would overtake
+/// queued threads — takes a FIFO ticket and waits its turn. A queued
+/// waiter first spins, without the mutex, on the serving ticket and the
+/// grant word for up to one park+wake round trip (QueueSpinNs), so a
+/// short critical section hands over without a futex round trip; only
+/// then does it sleep, on a condition variable of its own. A release
+/// wakes someone only when the head-parked bit says the queue head sleeps,
+/// and then wakes exactly that head; granting the head wakes only the next
+/// head, so no release ever wakes the whole queue.
 class LockNode {
 public:
   /// Blocks until the node is granted in \p M. Returns true iff the
-  /// thread had to park (the contended slow path); when \p WaitNs is
-  /// non-null it receives the parked wait in nanoseconds (and is left
-  /// untouched on the uncontended path, which never reads the clock).
+  /// thread had to queue (the contended slow path, whether its turn came
+  /// while it spun or after it slept); when \p WaitNs is non-null it
+  /// receives the queued wait in nanoseconds (and is left untouched on the
+  /// uncontended path, which never reads the clock).
   bool acquire(Mode M, uint64_t *WaitNs = nullptr) {
     if (fastAcquire(M))
       return false;
@@ -62,17 +67,12 @@ public:
   void release(Mode M) {
     uint64_t Prev = Word.fetch_sub(grantOne(M), std::memory_order_acq_rel);
     assert((Prev & grantMask(M)) != 0 && "release without matching grant");
-    if (Prev & WaiterBit) {
-      // Taking the mutex before notifying closes the race with a waiter
-      // that evaluated its predicate (pre-decrement) but has not yet
-      // blocked: it still holds the mutex at that point.
-      std::lock_guard<std::mutex> Lock(Mu);
-      CV.notify_all();
-    }
+    if (Prev & HeadParkedBit)
+      wakeHead();
   }
 
   /// Non-blocking variant; fails when the node is incompatible or any
-  /// thread is parked (queue-jumping would break FIFO).
+  /// thread is queued (queue-jumping would break FIFO).
   bool tryAcquire(Mode M) {
     uint64_t W = Word.load(std::memory_order_relaxed);
     while (!(W & (WaiterBit | conflictMask(M)))) {
@@ -88,6 +88,13 @@ public:
   unsigned grantedCount(Mode M) const {
     uint64_t W = Word.load(std::memory_order_acquire);
     return static_cast<unsigned>((W >> countShift(M)) & CountMask);
+  }
+
+  /// Number of queued requests (diagnostics/tests only).
+  unsigned queuedCount() const {
+    std::lock_guard<std::mutex> Lock(Mu);
+    return static_cast<unsigned>(NextTicket -
+                                 Serving.load(std::memory_order_relaxed));
   }
 
   /// Reader-preference bias (set by the adaptive engine on persistently
@@ -108,13 +115,21 @@ public:
   }
 
 private:
-  // Word layout: five 12-bit grant counts (mode i at bits [12i, 12i+12))
-  // and the has-waiters bit above them. 12 bits bound concurrent holders
-  // per mode at 4095, far above any realistic thread count.
+  // Word layout: five 12-bit grant counts (mode i at bits [12i, 12i+12)),
+  // then the has-waiters bit (queue non-empty) and the head-parked bit
+  // (the queue head sleeps and must be woken when a grant is released).
+  // 12 bits bound concurrent holders per mode at 4095, far above any
+  // realistic thread count.
   static constexpr unsigned BitsPerMode = 12;
   static constexpr uint64_t CountMask = (1ull << BitsPerMode) - 1;
   static constexpr uint64_t WaiterBit = 1ull << (BitsPerMode * NumModes);
+  static constexpr uint64_t HeadParkedBit = WaiterBit << 1;
   static constexpr unsigned SpinLimit = 48;
+  /// How long a queued waiter spins before it sleeps. Spinning past one
+  /// park+wake round trip costs more than sleeping would; a condvar
+  /// ping-pong between two threads on a 4-core x86-64 host took 12 µs at
+  /// p50 and 21–23 µs at p99 per round trip, so the cap is 20 µs.
+  static constexpr uint64_t QueueSpinNs = 20000;
 
   static constexpr unsigned countShift(Mode M) {
     return static_cast<unsigned>(M) * BitsPerMode;
@@ -168,16 +183,14 @@ private:
           BargeCredit.fetch_sub(1, std::memory_order_relaxed) > 0)
         return true;
       uint64_t Prev = Word.fetch_sub(One, std::memory_order_acq_rel);
-      if (Prev & WaiterBit) {
-        // Our phantom grant may have made the queue head's own grant
-        // attempt fail; re-notify so it retries.
-        std::lock_guard<std::mutex> Lock(Mu);
-        CV.notify_all();
-      }
+      // Our phantom grant may have made a sleeping head's own grant
+      // attempt fail; wake it so it retries.
+      if (Prev & HeadParkedBit)
+        wakeHead();
       if (W & WaiterBit)
-        return false; // parked waiters have priority: join the queue
+        return false; // queued waiters have priority: join the queue
       // Conflict: spin on plain loads until it clears, then retry the
-      // optimistic add; park once the budget runs out.
+      // optimistic add; queue once the budget runs out.
       for (;;) {
         if (Budget-- == 0)
           return false;
@@ -198,47 +211,96 @@ private:
             .count());
   }
 
+  /// One queued request. It lives on the waiting thread's stack and is
+  /// linked into the queue under Mu; other threads touch it only under Mu.
+  struct Waiter {
+    uint64_t Ticket = 0;
+    Waiter *Next = nullptr;
+    bool Parked = false;
+    std::condition_variable CV;
+  };
+
+  /// Claims one grant (\p One, conflicting with \p Conflicts) with the
+  /// fast path's compatibility check and the grant as one CAS, so it is
+  /// atomic even against fast-path acquirers.
+  bool tryGrant(uint64_t Conflicts, uint64_t One) {
+    uint64_t W = Word.load(std::memory_order_relaxed);
+    while (!(W & Conflicts))
+      if (Word.compare_exchange_weak(W, W + One, std::memory_order_acquire,
+                                     std::memory_order_relaxed))
+        return true;
+    return false;
+  }
+
+  /// Wakes the queue head if it sleeps. Called after a grant was dropped
+  /// from the word (release, phantom undo): only the head may claim it.
+  void wakeHead() {
+    std::lock_guard<std::mutex> Lock(Mu);
+    if (Head && Head->Parked)
+      Head->CV.notify_one();
+  }
+
   void slowAcquire(Mode M, uint64_t *WaitNs) {
-    const uint64_t T0 = WaitNs ? clockNs() : 0;
+    const uint64_t T0 = clockNs();
     const uint64_t Conflicts = conflictMask(M);
     const uint64_t One = grantOne(M);
-    std::unique_lock<std::mutex> Lock(Mu);
-    uint64_t Ticket = NextTicket++;
-    Waiters.push_back({Ticket, M});
-    // RMW, not store: fast-path CASes concurrently mutate the counts.
-    Word.fetch_or(WaiterBit, std::memory_order_relaxed);
-    CV.wait(Lock, [&] {
-      if (Waiters.front().Ticket != Ticket)
-        return false;
-      // Head of the queue: claim the grant with the same CAS the fast
-      // path uses, so the check and the grant are one atomic step even
-      // against fast-path acquirers on other threads.
-      uint64_t W = Word.load(std::memory_order_relaxed);
-      while (!(W & Conflicts)) {
-        if (Word.compare_exchange_weak(W, W + One, std::memory_order_acquire,
-                                       std::memory_order_relaxed))
-          return true;
-        detail::cpuRelax();
+    Waiter Me;
+    {
+      std::lock_guard<std::mutex> Lock(Mu);
+      Me.Ticket = NextTicket++;
+      (Head ? Tail->Next : Head) = &Me;
+      Tail = &Me;
+      // RMW, not store: fast-path acquirers concurrently mutate the counts.
+      Word.fetch_or(WaiterBit, std::memory_order_relaxed);
+    }
+    // Spin phase: a short holder hands over here, without a futex round
+    // trip. Only the head (ticket == Serving) may claim a grant.
+    bool Granted = false;
+    for (unsigned I = 1;; ++I) {
+      if (Serving.load(std::memory_order_acquire) == Me.Ticket &&
+          tryGrant(Conflicts, One)) {
+        Granted = true;
+        break;
       }
-      return false;
-    });
-    Waiters.pop_front();
+      if (I % 64 == 0 && clockNs() - T0 >= QueueSpinNs)
+        break;
+      detail::cpuRelax();
+    }
+    std::unique_lock<std::mutex> Lock(Mu);
+    // Park phase. The head announces its sleep in the word before its
+    // last grant attempt: a release ordered after the announcement sees
+    // the bit and wakes it, one ordered before is seen by the attempt.
+    // A non-head sleeper is woken by its predecessor's dequeue below.
+    while (!Granted) {
+      if (Serving.load(std::memory_order_relaxed) == Me.Ticket) {
+        Word.fetch_or(HeadParkedBit, std::memory_order_acq_rel);
+        if (tryGrant(Conflicts, One))
+          break;
+      }
+      Me.Parked = true;
+      Me.CV.wait(Lock);
+      Me.Parked = false;
+    }
+    // Dequeue: this waiter is the head.
+    assert(Head == &Me && "granted out of FIFO order");
+    Head = Me.Next;
+    if (!Head)
+      Tail = nullptr;
     // A queued waiter got through: replenish the reader barge allowance
     // (the anti-starvation half of the bias valve).
     if (uint32_t R = BargeRefill.load(std::memory_order_relaxed))
       BargeCredit.store(static_cast<int32_t>(R), std::memory_order_relaxed);
-    if (Waiters.empty())
-      Word.fetch_and(~WaiterBit, std::memory_order_relaxed);
-    // The next waiter may also be compatible (e.g. another reader).
-    CV.notify_all();
+    Word.fetch_and(~(HeadParkedBit | (Head ? 0 : WaiterBit)),
+                   std::memory_order_relaxed);
+    Serving.store(Me.Ticket + 1, std::memory_order_release);
+    // The next waiter may also be compatible (e.g. another reader); if it
+    // sleeps, it must wake to claim its turn.
+    if (Head && Head->Parked)
+      Head->CV.notify_one();
+    Lock.unlock();
     if (WaitNs)
       *WaitNs = clockNs() - T0;
   }
-
-  struct Waiter {
-    uint64_t Ticket;
-    Mode M;
-  };
 
 public:
   /// Slot id in the lock profiler's node table; 0 = unregistered. Set
@@ -247,9 +309,11 @@ public:
 
 private:
   std::atomic<uint64_t> Word{0};
-  std::mutex Mu;                // guards Waiters/NextTicket + CV protocol
-  std::condition_variable CV;
-  std::deque<Waiter> Waiters;
+  /// Ticket of the queue head; written under Mu, spun on without it.
+  std::atomic<uint64_t> Serving{0};
+  mutable std::mutex Mu; // guards the queue links, NextTicket, Parked flags
+  Waiter *Head = nullptr;
+  Waiter *Tail = nullptr;
   uint64_t NextTicket = 0;
   // Reader-bias valve (see setReaderBias). Credit may transiently drift
   // below zero under concurrent failed barges; refills store the

@@ -196,9 +196,9 @@ public:
   /// ThreadLockContext::flushStats for when buffered counts land).
   LockRuntimeStats stats() const;
 
-  /// Live count of parked acquisitions, maintained even while the
-  /// profiler is dormant (a park costs microseconds; one relaxed RMW on
-  /// that path is noise). The adaptive engine reads the per-epoch delta
+  /// Live count of queued acquisitions, maintained even while the
+  /// profiler is dormant (queueing takes the node mutex; one relaxed RMW
+  /// on that path is noise). The adaptive engine reads the per-epoch delta
   /// as its always-on contention alarm: parking appearing during a
   /// quiet spell re-arms the profiler immediately instead of waiting
   /// out the duty-cycle backoff.

@@ -13,9 +13,12 @@
 /// loads/stores protected by acquireAll) and transactionally (TxMem:
 /// every shared access through a TL2 transaction).
 ///
-/// Node memory removed from the structures is leaked for the benchmark's
-/// lifetime: concurrent optimistic readers may still dereference it, and
-/// neither the paper's system nor TL2 reclaims transactional memory.
+/// Each structure owns every node and bucket array it allocates and frees
+/// them all in its destructor, never earlier: an unlinked node or a
+/// replaced bucket array may still be read by a TL2 reader or a rehash in
+/// flight, and neither the paper's system nor TL2 reclaims memory while a
+/// structure is shared. Allocation records ownership with one CAS on an
+/// intrusive list (BlockOwner), so sections never take a mutex for it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,7 +27,12 @@
 
 #include "stm/Tl2.h"
 
+#include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <new>
+#include <type_traits>
 
 namespace lockin {
 namespace workloads {
@@ -40,6 +48,52 @@ struct TxMem {
   stm::Transaction &Tx;
   template <typename T> T read(T *P) { return Tx.read(P); }
   template <typename T> void write(T *P, T V) { Tx.write(P, V); }
+};
+
+/// Owns the blocks one structure allocates and frees them all when it
+/// dies. Safe to allocate from concurrent sections: each block is pushed
+/// onto a lock-free intrusive list.
+class BlockOwner {
+public:
+  BlockOwner() = default;
+  BlockOwner(const BlockOwner &) = delete;
+  BlockOwner &operator=(const BlockOwner &) = delete;
+  ~BlockOwner() {
+    for (Block *B = Head.load(std::memory_order_acquire); B;) {
+      Block *Next = B->Next;
+      ::operator delete(B);
+      B = Next;
+    }
+  }
+
+  /// A value-initialized T (members without initializers are zeroed).
+  template <typename T> T *make() { return makeArray<T>(1); }
+
+  /// \p N value-initialized T's (null pointers for a bucket array).
+  template <typename T> T *makeArray(size_t N) {
+    static_assert(std::is_trivially_destructible_v<T>,
+                  "blocks are freed without running destructors");
+    static_assert(alignof(T) <= alignof(Block), "block payload misaligned");
+    T *P = static_cast<T *>(alloc(sizeof(T) * N));
+    std::uninitialized_value_construct_n(P, N);
+    return P;
+  }
+
+private:
+  struct alignas(std::max_align_t) Block {
+    Block *Next;
+  };
+
+  void *alloc(size_t Bytes) {
+    auto *B = static_cast<Block *>(::operator new(sizeof(Block) + Bytes));
+    B->Next = Head.load(std::memory_order_relaxed);
+    while (!Head.compare_exchange_weak(B->Next, B, std::memory_order_release,
+                                       std::memory_order_relaxed)) {
+    }
+    return B + 1;
+  }
+
+  std::atomic<Block *> Head{nullptr};
 };
 
 //===----------------------------------------------------------------------===//
@@ -63,7 +117,7 @@ public:
     }
     if (Cur && M.read(&Cur->Key) == Key)
       return false;
-    Node *Fresh = new Node;
+    Node *Fresh = Blocks.make<Node>();
     Fresh->Key = Key;
     M.write(&Fresh->Next, Cur);
     if (Prev)
@@ -94,7 +148,7 @@ public:
       M.write(&Prev->Next, Next);
     else
       M.write(&Head, Next);
-    return true; // Cur intentionally leaked (see file header)
+    return true; // Cur stays allocated until the list dies (file header)
   }
 
   template <typename Mem> int64_t size(Mem &&M) {
@@ -105,6 +159,7 @@ public:
   }
 
 private:
+  BlockOwner Blocks;
   Node *Head = nullptr;
 };
 
@@ -124,7 +179,7 @@ public:
 
   explicit HashtableCore(int64_t InitialBuckets = 64)
       : NumBuckets(InitialBuckets) {
-    Buckets = new Node *[InitialBuckets]();
+    Buckets = Blocks.makeArray<Node *>(InitialBuckets);
   }
 
   template <typename Mem> bool put(Mem &&M, int64_t Key, int64_t Value) {
@@ -142,7 +197,7 @@ public:
       Last = Cur;
       Cur = M.read(&Cur->Next);
     }
-    Node *Fresh = new Node;
+    Node *Fresh = Blocks.make<Node>();
     Fresh->Key = Key;
     Fresh->Value = Value;
     if (Last)
@@ -202,7 +257,7 @@ private:
   template <typename Mem> void rehash(Mem &&M, int64_t NewCount) {
     Node **Old = M.read(&Buckets);
     int64_t OldCount = M.read(&NumBuckets);
-    Node **Fresh = new Node *[NewCount]();
+    Node **Fresh = Blocks.makeArray<Node *>(NewCount);
     for (int64_t I = 0; I < OldCount; ++I) {
       Node *Cur = M.read(&Old[I]);
       while (Cur) {
@@ -216,9 +271,11 @@ private:
     }
     M.write(&Buckets, Fresh);
     M.write(&NumBuckets, NewCount);
-    // Old bucket array leaked (optimistic readers may still scan it).
+    // The old bucket array stays allocated until the table dies
+    // (optimistic readers may still scan it).
   }
 
+  BlockOwner Blocks;
   Node **Buckets;
   int64_t NumBuckets;
   int64_t Size = 0;
@@ -236,14 +293,14 @@ public:
 
   explicit Hashtable2Core(int64_t BucketCount = 256)
       : NumBuckets(BucketCount) {
-    Buckets = new Node *[BucketCount]();
+    Buckets = Blocks.makeArray<Node *>(BucketCount);
   }
 
   /// The address whose fine lock protects a put of \p Key.
   Node **bucketCell(int64_t Key) { return &Buckets[slotOf(Key)]; }
 
   template <typename Mem> void put(Mem &&M, int64_t Key, int64_t Value) {
-    Node *Fresh = new Node;
+    Node *Fresh = Blocks.make<Node>();
     Fresh->Key = Key;
     Fresh->Value = Value;
     Node **Cell = bucketCell(Key);
@@ -286,6 +343,7 @@ private:
            static_cast<uint64_t>(NumBuckets);
   }
 
+  BlockOwner Blocks;
   Node **Buckets;
   int64_t NumBuckets;
 };
@@ -325,7 +383,7 @@ public:
       Parent = Cur;
       Cur = Key < CurKey ? M.read(&Cur->Left) : M.read(&Cur->Right);
     }
-    Node *Fresh = new Node;
+    Node *Fresh = Blocks.make<Node>();
     Fresh->Key = Key;
     Fresh->Value = Value;
     Fresh->Red = 1;
@@ -493,6 +551,7 @@ private:
     return (N->Dead ? 0 : 1) + liveCount(N->Left) + liveCount(N->Right);
   }
 
+  BlockOwner Blocks;
   Node *Root = nullptr;
 };
 

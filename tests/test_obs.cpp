@@ -35,6 +35,7 @@
 using namespace lockin;
 using namespace lockin::obs;
 using lockin::rt::LockDescriptor;
+using lockin::rt::LockNode;
 using lockin::rt::LockRuntime;
 using lockin::rt::Mode;
 using lockin::rt::ThreadLockContext;
@@ -637,11 +638,13 @@ TEST(LockProfilerTest, ContendedTwoThreads) {
   Prof.setEnabled(true);
   LockRuntime RT(1, &Reg, &Prof);
 
-  // Deterministic contention (looped hammering doesn't reliably overlap
-  // on a single-core machine): the holder keeps the fine write lock for
-  // a few milliseconds while the waiter attempts the same X lock, so the
+  // Deterministic contention (looped hammering doesn't reliably overlap,
+  // and a waiter that starts late on a loaded host can miss a fixed-length
+  // hold): the holder keeps the fine write lock until the waiter has
+  // queued for the same X lock, then a few milliseconds more, so the
   // waiter's spin budget runs out and it parks.
   const LockDescriptor D = LockDescriptor::fine(0, 0x1000, true);
+  LockNode &LeafNode = RT.leafNode(0, 0x1000);
   std::atomic<bool> Held{false};
   std::thread Holder([&] {
     ThreadLockContext Ctx(RT);
@@ -649,6 +652,8 @@ TEST(LockProfilerTest, ContendedTwoThreads) {
     Ctx.toAcquire(D);
     Ctx.acquireAll();
     Held.store(true);
+    while (LeafNode.queuedCount() == 0)
+      std::this_thread::yield();
     std::this_thread::sleep_for(std::chrono::milliseconds(3));
     Ctx.releaseAll();
   });
@@ -664,7 +669,7 @@ TEST(LockProfilerTest, ContendedTwoThreads) {
   Holder.join();
   Waiter.join();
 
-  uint32_t LeafId = RT.leafNode(0, 0x1000).ObsId;
+  uint32_t LeafId = LeafNode.ObsId;
   ASSERT_NE(LeafId, 0u);
   NodeSlot &Leaf = Prof.nodeSlot(LeafId);
   EXPECT_GT(Leaf.Contentions.value(), 0u);

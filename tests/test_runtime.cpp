@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <chrono>
@@ -222,6 +223,121 @@ TEST(LockNode, WriterBoundedWaitUnderReaderChurn) {
                 .count(),
             2000)
       << "writer starved by reader churn";
+}
+
+TEST(LockNode, FifoHoldsWhenHolderReleasesInsideSpinWindow) {
+  // A writer queues behind a reader's S grant, then a later reader queues
+  // behind the writer. The holder releases as soon as both are queued —
+  // inside the queued spin window, before either sleeps — and the writer
+  // must still be granted first: spinning must not let the compatible
+  // later reader overtake it.
+  LockNode Node;
+  Node.acquire(Mode::S);
+  std::atomic<bool> WriterGo{false}, ReaderGo{false};
+  std::atomic<unsigned> Order{0};
+  unsigned WriterSeq = 0, ReaderSeq = 0;
+  bool WriterQueued = false, ReaderQueued = false;
+  std::thread Writer([&] {
+    while (!WriterGo.load())
+      detail::cpuRelax();
+    WriterQueued = Node.acquire(Mode::X);
+    WriterSeq = Order.fetch_add(1);
+    Node.release(Mode::X);
+  });
+  std::thread Reader([&] {
+    while (!ReaderGo.load())
+      detail::cpuRelax();
+    ReaderQueued = Node.acquire(Mode::S);
+    ReaderSeq = Order.fetch_add(1);
+    Node.release(Mode::S);
+  });
+  WriterGo.store(true);
+  while (Node.queuedCount() < 1)
+    detail::cpuRelax();
+  ReaderGo.store(true);
+  while (Node.queuedCount() < 2)
+    detail::cpuRelax();
+  Node.release(Mode::S);
+  Writer.join();
+  Reader.join();
+  EXPECT_TRUE(WriterQueued);
+  EXPECT_TRUE(ReaderQueued);
+  EXPECT_EQ(WriterSeq, 0u) << "later reader overtook the queued writer";
+  EXPECT_EQ(ReaderSeq, 1u);
+  EXPECT_EQ(Node.queuedCount(), 0u);
+}
+
+TEST(LockNode, SleepingQueueDrainsInOrder) {
+  // Three writers queue behind a long X hold, well past the spin window,
+  // so all of them sleep. The release wakes only the head, and each
+  // grant must wake the next sleeper: every writer completes, in ticket
+  // order.
+  LockNode Node;
+  Node.acquire(Mode::X);
+  constexpr unsigned NumWriters = 3;
+  std::atomic<unsigned> Order{0};
+  std::array<unsigned, NumWriters> Seq{};
+  std::vector<std::thread> Writers;
+  for (unsigned I = 0; I < NumWriters; ++I) {
+    Writers.emplace_back([&, I] {
+      Node.acquire(Mode::X);
+      Seq[I] = Order.fetch_add(1);
+      Node.release(Mode::X);
+    });
+    while (Node.queuedCount() < I + 1)
+      std::this_thread::yield();
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  Node.release(Mode::X);
+  for (std::thread &T : Writers)
+    T.join();
+  for (unsigned I = 0; I < NumWriters; ++I)
+    EXPECT_EQ(Seq[I], I) << "writer " << I << " granted out of FIFO order";
+  EXPECT_EQ(Node.grantedCount(Mode::X), 0u);
+}
+
+TEST(LockNode, OversubscribedMixedModesAllComplete) {
+  // 4 x nproc threads — more than the cores, so queued spinners compete
+  // with holders for CPU — cycle IS/IX/S/X on one node. Every operation
+  // must complete (no lost wakeup strands a sleeper), and no two
+  // incompatible modes may ever be held together.
+  LockNode Node;
+  std::array<std::atomic<unsigned>, NumModes> Held{};
+  std::atomic<bool> Bad{false};
+  std::atomic<uint64_t> Done{0};
+  const unsigned NumThreads =
+      4 * std::max(1u, std::thread::hardware_concurrency());
+  constexpr unsigned Rounds = 1500;
+  constexpr Mode Modes[] = {Mode::IS, Mode::IX, Mode::S, Mode::X};
+  std::vector<std::thread> Threads;
+  for (unsigned T = 0; T < NumThreads; ++T) {
+    Threads.emplace_back([&, T] {
+      Rng R(1009 + T);
+      for (unsigned I = 0; I < Rounds; ++I) {
+        Mode M = Modes[R.below(4)];
+        Node.acquire(M);
+        Held[static_cast<unsigned>(M)].fetch_add(1);
+        for (unsigned O = 0; O < NumModes; ++O) {
+          unsigned Self = O == static_cast<unsigned>(M) ? 1u : 0u;
+          if (!modesCompatible(M, static_cast<Mode>(O)) &&
+              Held[O].load() > Self)
+            Bad.store(true);
+        }
+        for (unsigned Spin = 0; Spin < 8; ++Spin)
+          detail::cpuRelax();
+        Held[static_cast<unsigned>(M)].fetch_sub(1);
+        Node.release(M);
+        Done.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  for (std::thread &T : Threads)
+    T.join();
+  EXPECT_FALSE(Bad.load()) << "incompatible modes held concurrently";
+  EXPECT_EQ(Done.load(), uint64_t{NumThreads} * Rounds);
+  EXPECT_EQ(Node.queuedCount(), 0u);
+  for (unsigned M = 0; M < NumModes; ++M)
+    EXPECT_EQ(Node.grantedCount(static_cast<Mode>(M)), 0u);
 }
 
 //===----------------------------------------------------------------------===//
