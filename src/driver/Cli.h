@@ -28,7 +28,7 @@ struct CliOptions {
   bool Run = false;
   bool GlobalLock = false;
   /// Contention-adaptive hybrid runtime during --run: start on the
-  /// inferred locks, let the policy engine rebias/stripe/migrate.
+  /// inferred locks, let the policy engine stripe/migrate.
   bool Adaptive = false;
   unsigned AdaptiveEpochMs = 50; ///< policy epoch period for --adaptive
   /// Run the concurrency checker after inference and print its JSON

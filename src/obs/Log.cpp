@@ -41,7 +41,16 @@ bool obs::parseLogLevel(std::string_view Text, LogLevel &Out) {
 
 namespace {
 
-void jsonEscape(std::string &Out, std::string_view S) {
+uint64_t wallUs() {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::system_clock::now().time_since_epoch())
+          .count());
+}
+
+} // namespace
+
+void obs::jsonEscape(std::string &Out, std::string_view S) {
   for (char C : S) {
     if (C == '"' || C == '\\') {
       Out += '\\';
@@ -55,15 +64,6 @@ void jsonEscape(std::string &Out, std::string_view S) {
     }
   }
 }
-
-uint64_t wallUs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::system_clock::now().time_since_epoch())
-          .count());
-}
-
-} // namespace
 
 LogEvent::LogEvent(Logger *Owner, LogLevel Level, std::string_view Event)
     : L(Owner) {

@@ -41,6 +41,11 @@ const char *logLevelName(LogLevel L);
 /// \p Out untouched) on anything else.
 bool parseLogLevel(std::string_view Text, LogLevel &Out);
 
+/// Appends \p S to \p Out escaped for a JSON string body: `"` and `\`
+/// get a backslash, other control characters become `\u00XX`. The one
+/// escaper of the log, the trace and the flight recorder.
+void jsonEscape(std::string &Out, std::string_view S);
+
 class Logger;
 
 /// One structured log line under construction. Move-only; the destructor

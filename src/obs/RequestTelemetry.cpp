@@ -77,25 +77,6 @@ uint64_t FlightRecorder::recorded() const {
   return Written;
 }
 
-namespace {
-
-void jsonEscape(std::string &Out, std::string_view S) {
-  for (char C : S) {
-    if (C == '"' || C == '\\') {
-      Out += '\\';
-      Out += C;
-    } else if (static_cast<unsigned char>(C) < 0x20) {
-      char Buf[8];
-      std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-      Out += Buf;
-    } else {
-      Out += C;
-    }
-  }
-}
-
-} // namespace
-
 void FlightRecorder::appendJson(std::string &Out,
                                 const FlightRecord &R) const {
   char Buf[160];

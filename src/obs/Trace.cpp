@@ -6,12 +6,14 @@
 
 #include "obs/Trace.h"
 
+#include "obs/Log.h"
 #include "obs/RequestTelemetry.h"
 #include "runtime/Mode.h"
 
 #include <bit>
 #include <cinttypes>
 #include <cstdio>
+#include <iterator>
 
 using namespace lockin;
 using namespace lockin::obs;
@@ -109,21 +111,6 @@ void Tracer::clear() {
 }
 
 namespace {
-
-void jsonEscape(std::string &Out, std::string_view S) {
-  for (char C : S) {
-    if (C == '"' || C == '\\') {
-      Out += '\\';
-      Out += C;
-    } else if (static_cast<unsigned char>(C) < 0x20) {
-      char Buf[8];
-      std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-      Out += Buf;
-    } else {
-      Out += C;
-    }
-  }
-}
 
 bool isSimKind(EventKind K) {
   return K == EventKind::SimOpSpan || K == EventKind::SimWaitSpan ||
@@ -224,12 +211,10 @@ void Tracer::writeChromeJson(std::ostream &OS) const {
       case EventKind::PolicyEvent: {
         // Mirrors rt::adaptive::PolicyAction (obs cannot include the
         // runtime's adaptive header without a dependency cycle).
-        static const char *const Actions[] = {
-            "bias-set",     "bias-clear", "escalate", "deescalate",
-            "migrate-stm",  "migrate-lock"};
-        unsigned A = E.Mode < 6 ? E.Mode : 0;
+        static const char *const Actions[] = {"escalate", "deescalate",
+                                              "migrate-stm", "migrate-lock"};
         Name = "policy:";
-        Name += Actions[A];
+        Name += E.Mode < std::size(Actions) ? Actions[E.Mode] : "unknown";
         std::snprintf(Buf, sizeof(Buf), "{\"target\": %" PRIu64 "}", E.A);
         Args = Buf;
         break;

@@ -81,8 +81,6 @@ AdaptiveEngine::AdaptiveEngine(LockRuntime &RT, AdaptiveConfig Config)
   (void)useMembarrier();
   obs::MetricsRegistry &Reg = RT.registry();
   MEpochs = &Reg.counter("adaptive.epochs");
-  MBiasSet = &Reg.counter("adaptive.reader_bias_set");
-  MBiasCleared = &Reg.counter("adaptive.reader_bias_cleared");
   MEscalations = &Reg.counter("adaptive.region_escalations");
   MDeescalations = &Reg.counter("adaptive.region_deescalations");
   MStmMigrations = &Reg.counter("adaptive.stm_migrations");
@@ -195,8 +193,7 @@ void AdaptiveEngine::policyTrace(PolicyAction A, uint64_t Target) {
   // Mirror every policy decision into the structured log so a daemon's
   // adaptive-runtime behaviour lands in the same stream as its request
   // telemetry (the trace ring only surfaces on --trace-out).
-  static const char *const Names[] = {"bias-set",   "bias-clear",
-                                      "escalate",   "deescalate",
+  static const char *const Names[] = {"escalate", "deescalate",
                                       "migrate-stm", "migrate-lock"};
   obs::log()
       .event(obs::LogLevel::Info, "adaptive.policy")
@@ -204,35 +201,50 @@ void AdaptiveEngine::policyTrace(PolicyAction A, uint64_t Target) {
       .num("target", Target);
 }
 
+namespace {
+
+/// Grants sampled at a region node so far: intention grants (IS + IX)
+/// are fine traffic, full grants (S + SIX + X) coarse.
+struct GrantMix {
+  uint64_t Fine = 0, Coarse = 0;
+};
+
+GrantMix grantMix(obs::LockProfiler &P, const LockNode &Region) {
+  if (!Region.ObsId)
+    return {};
+  obs::NodeSlot &S = P.nodeSlot(Region.ObsId);
+  return {S.ModeCounts[0].value() + S.ModeCounts[1].value(),
+          S.ModeCounts[2].value() + S.ModeCounts[3].value() +
+              S.ModeCounts[4].value()};
+}
+
+} // namespace
+
+void AdaptiveEngine::collectContenders() {
+  obs::LockProfiler &P = RT.profiler();
+  for (RegionState &RS : RegionStates)
+    RS.ContenderBits = 0;
+  RT.forEachNode([&](LockNode &N, const obs::LockNodeInfo &Info) {
+    if (!N.ObsId || Info.K == obs::LockNodeInfo::Kind::Root ||
+        Info.Region >= RegionStates.size())
+      return;
+    std::atomic<uint64_t> &Mask = P.nodeSlot(N.ObsId).ContenderMask;
+    // Most nodes saw no queued waiter: a load keeps their lines shared.
+    if (Mask.load(std::memory_order_relaxed))
+      RegionStates[Info.Region].ContenderBits |=
+          Mask.exchange(0, std::memory_order_relaxed);
+  });
+}
+
 void AdaptiveEngine::snapshot() {
   obs::LockProfiler &P = RT.profiler();
-  RT.forEachNode([&](LockNode &N, const obs::LockNodeInfo &Info) {
-    if (!N.ObsId)
-      return;
-    NodeState &St = NodeStates[&N];
-    bool Fresh = !St.Node;
-    if (Fresh) {
-      St.Node = &N;
-      St.Info = Info;
-      St.Slot = &P.nodeSlot(N.ObsId);
-    }
-    obs::NodeSlot &S = *St.Slot;
-    // Quiet known leaf: counters are frozen while the profiler is
-    // dormant, so an unchanged contention count means the baseline is
-    // still current — skip the 5-counter re-read and the mask store.
-    // Leaf walks dominate this loop (every touched address registers
-    // one), and on a converged workload nearly all of them take this
-    // early out.
-    if (!Fresh && Info.K == obs::LockNodeInfo::Kind::Leaf &&
-        S.Contentions.value() == St.SnapCont &&
-        !S.ContenderMask.load(std::memory_order_relaxed))
-      return;
-    for (unsigned M = 0; M < 5; ++M)
-      St.SnapModes[M] = S.ModeCounts[M].value();
-    St.SnapCont = S.Contentions.value();
-    // Start the contender bitmap window at the arm point.
-    S.ContenderMask.store(0, std::memory_order_relaxed);
-  });
+  for (uint32_t R = 0; R < RegionStates.size(); ++R) {
+    GrantMix G = grantMix(P, RT.regionNode(R));
+    RegionStates[R].SnapFine = G.Fine;
+    RegionStates[R].SnapCoarse = G.Coarse;
+  }
+  // Start the contender bitmap window at the arm point.
+  collectContenders();
   for (auto &DPtr : Domains) {
     DomainState &D = *DPtr;
     uint64_t Wait = 0, Hold = 0;
@@ -252,123 +264,22 @@ bool AdaptiveEngine::runPolicy() {
   obs::LockProfiler &P = RT.profiler();
   bool AnyTransition = false;
 
-  if (RegionStates.size() < RT.numRegions())
-    RegionStates.resize(RT.numRegions());
+  collectContenders();
 
-  // Per-region grant-mix deltas (from the region node itself) and the OR
-  // of contender bitmaps under the region, gathered during the walk.
-  struct RegionAgg {
-    uint64_t Fine = 0, Coarse = 0;
-  };
-  std::vector<RegionAgg> Agg(RT.numRegions());
-  for (RegionState &RS : RegionStates)
-    RS.ContenderBits = 0;
-
-  // --- walk every node: rung 1 (RW bias) + aggregation for rung 2 ---
-  RT.forEachNode([&](LockNode &N, const obs::LockNodeInfo &Info) {
-    if (!N.ObsId)
-      return;
-    NodeState &St = NodeStates[&N];
-    bool Fresh = !St.Node;
-    if (Fresh) {
-      // Node appeared after the snapshot: adopt it, deltas start next
-      // epoch.
-      St.Node = &N;
-      St.Info = Info;
-      St.Slot = &P.nodeSlot(N.ObsId);
-    }
-    obs::NodeSlot &S = *St.Slot;
-    uint64_t Cont = S.Contentions.value();
-    // Quiet leaf fast path: with no contention since the last read,
-    // neither rung can act on it — bias needs a contention delta and
-    // stripe sizing needs contender bits — so leave its mode snapshot
-    // stale (the next active epoch reads the widened window; fractions
-    // are scale-free) and skip the 5-counter read plus the mask RMW.
-    // Streaks persist exactly as on an idle epoch; cooldown still ages.
-    // Biased leaves stay on the full path: clearing bias watches the
-    // mode mix and must not wait for fresh contention.
-    if (!Fresh && !St.Biased && Info.K == obs::LockNodeInfo::Kind::Leaf &&
-        Cont == St.SnapCont &&
-        !S.ContenderMask.load(std::memory_order_relaxed)) {
-      if (St.Cooldown)
-        --St.Cooldown;
-      return;
-    }
-    uint64_t DModes[5];
-    uint64_t DTotal = 0;
-    for (unsigned M = 0; M < 5; ++M) {
-      uint64_t V = S.ModeCounts[M].value();
-      DModes[M] = V - St.SnapModes[M];
-      St.SnapModes[M] = V;
-      DTotal += DModes[M];
-    }
-    uint64_t DCont = Cont - St.SnapCont;
-    St.SnapCont = Cont;
-    uint64_t Mask = S.ContenderMask.load(std::memory_order_relaxed);
-    if (Mask)
-      Mask = S.ContenderMask.exchange(0, std::memory_order_relaxed);
-
-    if (Info.K == obs::LockNodeInfo::Kind::Region) {
-      // Mode mix at the region node tells fine (intention grants) from
-      // coarse (full grants) traffic.
-      Agg[Info.Region].Fine = DModes[0] + DModes[1];          // IS + IX
-      Agg[Info.Region].Coarse = DModes[2] + DModes[3] + DModes[4];
-    }
-    if (Info.K != obs::LockNodeInfo::Kind::Root &&
-        Info.Region < RegionStates.size())
-      RegionStates[Info.Region].ContenderBits |= Mask;
-
-    // Rung 1: reader bias. Root is exempt (biasing ⊤ would let global
-    // readers starve every writer in the program).
-    if (Info.K == obs::LockNodeInfo::Kind::Root)
-      return;
-    if (St.Cooldown) {
-      --St.Cooldown;
-      return;
-    }
-    if (!DTotal)
-      return; // idle epoch: keep streaks, no verdict
-    double ReadFrac =
-        static_cast<double>(DModes[0] + DModes[2]) / static_cast<double>(DTotal);
-    if (!St.Biased && ReadFrac >= Config.BiasReadHi &&
-        DCont >= Config.BiasMinContentions) {
-      St.LoStreak = 0;
-      if (++St.HiStreak >= Config.BiasEpochs) {
-        N.setReaderBias(true, Config.BargeCredit);
-        St.Biased = true;
-        St.HiStreak = 0;
-        St.Cooldown = Config.TransitionCooldownTicks;
-        MBiasSet->inc();
-        policyTrace(PolicyAction::BiasSet, N.ObsId);
-        AnyTransition = true;
-      }
-    } else if (St.Biased && ReadFrac <= Config.BiasReadLo) {
-      St.HiStreak = 0;
-      if (++St.LoStreak >= Config.BiasEpochs) {
-        N.setReaderBias(false);
-        St.Biased = false;
-        St.LoStreak = 0;
-        St.Cooldown = Config.TransitionCooldownTicks;
-        MBiasCleared->inc();
-        policyTrace(PolicyAction::BiasClear, N.ObsId);
-        AnyTransition = true;
-      }
-    } else {
-      St.HiStreak = St.LoStreak = 0;
-    }
-  });
-
-  // --- rung 2: stripe escalation, per region ---
-  for (uint32_t R = 0; R < RT.numRegions(); ++R) {
+  // --- rung 1: stripe escalation, per region ---
+  for (uint32_t R = 0; R < RegionStates.size(); ++R) {
     RegionState &RS = RegionStates[R];
+    GrantMix G = grantMix(P, RT.regionNode(R));
+    uint64_t DFine = G.Fine - RS.SnapFine;
+    uint64_t Total = DFine + (G.Coarse - RS.SnapCoarse);
+    RS.SnapFine = G.Fine;
+    RS.SnapCoarse = G.Coarse;
     if (RS.Cooldown) {
       --RS.Cooldown;
       continue;
     }
-    uint64_t Total = Agg[R].Fine + Agg[R].Coarse;
     double FineFrac =
-        Total ? static_cast<double>(Agg[R].Fine) / static_cast<double>(Total)
-              : 0.0;
+        Total ? static_cast<double>(DFine) / static_cast<double>(Total) : 0.0;
     if (!RT.regionLayout(R)) {
       RS.DeescStreak = 0;
       if (Total && FineFrac >= Config.EscalateFineFrac &&
@@ -407,7 +318,7 @@ bool AdaptiveEngine::runPolicy() {
     }
   }
 
-  // --- rung 3: STM migration, per domain ---
+  // --- rung 2: STM migration, per domain ---
   for (uint32_t DI = 0; DI < Domains.size(); ++DI) {
     DomainState &D = *Domains[DI];
     uint64_t Wait = 0, Hold = 0;
@@ -590,11 +501,5 @@ std::string AdaptiveEngine::renderPolicy() const {
                     R, T->Count);
       Out += Buf;
     }
-  unsigned Biased = 0;
-  for (const auto &[Node, St] : NodeStates)
-    if (St.Biased)
-      ++Biased;
-  std::snprintf(Buf, sizeof(Buf), ";   reader-biased nodes: %u\n", Biased);
-  Out += Buf;
   return Out;
 }

@@ -8,35 +8,33 @@
 /// The contention-adaptive policy engine over the §5 lock runtime: the
 /// inference picks lock granularity statically, and this engine corrects
 /// it at runtime using the lock-contention profiler as the feedback
-/// signal. On a low-frequency epoch tick it reads per-node and
-/// per-section stat deltas and applies a three-rung policy ladder, each
+/// signal. On a low-frequency epoch tick it reads per-region and
+/// per-section stat deltas and applies a two-rung policy ladder, each
 /// rung guarded by hysteresis (K consecutive epochs over the threshold
 /// to act, a cooldown after acting) so decisions never ping-pong:
 ///
-///   1. RW bias — nodes whose grant mix stays read-mostly get the
-///      LockNode reader-barge valve; write-heavy shifts clear it.
-///   2. Stripe escalation — fine-dominated regions under leaf pressure
+///   1. Stripe escalation — fine-dominated regions under leaf pressure
 ///      swap their per-address leaves for a cache-line-padded stripe
 ///      table (stripe count sized by the observed contender bitmap);
 ///      regions whose traffic turns coarse swap back.
-///   3. STM migration — migration domains (groups of sections closed
+///   2. STM migration — migration domains (groups of sections closed
 ///      under potential data overlap) whose parked-wait/hold ratio
 ///      stays above threshold switch from the lock backend to the TL2
 ///      STM; repeated abort storms switch them back.
 ///
-/// Safety at the acquireAll seam: rungs 1-2 change only *how* a node
-/// admits requests or *which* node a fine request maps to — the sorted
-/// top-down acquisition order of the hierarchy is untouched, and layout
-/// swaps take the region node in X so every holder drains first (a
-/// holder's region grant pins the layout it read). Rung 3 crosses
-/// backends, so each migration domain has a drain gate: sections enter
-/// through a per-thread inflight slot; a backend flip marks the domain
-/// transitioning, executes a heavy barrier (membarrier
-/// PRIVATE_EXPEDITED when available, a paired seq_cst fence otherwise)
-/// against the entry protocol's store-then-check, waits until no slot
-/// is inside the domain, and only then publishes the new backend — so
-/// lock-mode and STM-mode executions of overlapping sections never run
-/// concurrently.
+/// Safety at the acquireAll seam: rung 1 changes only *which* node a
+/// fine request maps to — every node still admits queued requests in
+/// FIFO order, the sorted top-down acquisition order of the hierarchy
+/// is untouched, and layout swaps take the region node in X so every
+/// holder drains first (a holder's region grant pins the layout it
+/// read). Rung 2 crosses backends, so each migration domain has a
+/// drain gate: sections enter through a per-thread inflight slot; a
+/// backend flip marks the domain transitioning, executes a heavy
+/// barrier (membarrier PRIVATE_EXPEDITED when available, a paired
+/// seq_cst fence otherwise) against the entry protocol's
+/// store-then-check, waits until no slot is inside the domain, and only
+/// then publishes the new backend — so lock-mode and STM-mode
+/// executions of overlapping sections never run concurrently.
 ///
 /// Profiler cost: the engine arms the profiler for one epoch out of
 /// ArmDutyTicks (backing off 4x once decisions go quiet), so adaptation
@@ -57,7 +55,6 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 namespace lockin {
@@ -69,9 +66,7 @@ enum class Backend : uint8_t { Lock = 0, Stm = 1 };
 
 /// PolicyEvent trace-instant codes (order mirrored by Trace.cpp).
 enum class PolicyAction : uint8_t {
-  BiasSet = 0,
-  BiasClear,
-  Escalate,
+  Escalate = 0,
   Deescalate,
   MigrateStm,
   MigrateLock,
@@ -99,14 +94,7 @@ struct AdaptiveConfig {
   /// while nothing is waiting. 0 disables the alarm.
   uint64_t ReArmSlowEvents = 8;
 
-  // Rung 1: RW bias (per node, read fraction of sampled grants).
-  double BiasReadHi = 0.90;        ///< set bias at/above, K epochs
-  double BiasReadLo = 0.70;        ///< clear bias at/below, K epochs
-  unsigned BiasEpochs = 2;
-  uint64_t BiasMinContentions = 4; ///< per epoch, to consider setting
-  uint32_t BargeCredit = 256;      ///< reader overtakes per queue grant
-
-  // Rung 2: stripe escalation (per region).
+  // Rung 1: stripe escalation (per region).
   uint32_t EscalateLeafPressure = 2048; ///< distinct leaves under region
   double EscalateFineFrac = 0.80;       ///< IS+IX share of region grants
   double DeescalateFineFrac = 0.50;     ///< coarse traffic took over
@@ -115,7 +103,7 @@ struct AdaptiveConfig {
   unsigned MinStripes = 8;
   unsigned MaxStripes = 64;
 
-  // Rung 3: STM migration (per domain). The ratio line is deliberately
+  // Rung 2: STM migration (per domain). The ratio line is deliberately
   // high: with the profiler duty-cycled, one policy read's deltas span
   // the whole dormant window, so a few sporadic preemption parks can
   // reach wait ~ 3x hold on an oversubscribed box — only a standing
@@ -128,7 +116,7 @@ struct AdaptiveConfig {
   uint64_t StmMinAttempts = 16;   ///< per epoch, below = no verdict
   unsigned StmFallbackEpochs = 2;
 
-  /// Ticks a node/region/domain sits out after any transition.
+  /// Ticks a region/domain sits out after any transition.
   unsigned TransitionCooldownTicks = 8;
 
   /// Stress mode for the differential fuzzer: ignore the policy and
@@ -307,17 +295,10 @@ private:
     unsigned StmStreak = 0, FallbackStreak = 0, Cooldown = 0;
   };
 
-  struct NodeState {
-    LockNode *Node = nullptr;
-    obs::LockNodeInfo Info;
-    obs::NodeSlot *Slot = nullptr;
-    uint64_t SnapModes[5] = {};
-    uint64_t SnapCont = 0;
-    unsigned HiStreak = 0, LoStreak = 0, Cooldown = 0;
-    bool Biased = false;
-  };
-
   struct RegionState {
+    /// Region-node grant counts at the last read: intention grants
+    /// (IS + IX) are fine traffic, full grants (S + SIX + X) coarse.
+    uint64_t SnapFine = 0, SnapCoarse = 0;
     unsigned EscStreak = 0, DeescStreak = 0, Cooldown = 0;
     uint64_t ContenderBits = 0; ///< OR of leaf masks, refreshed per read
   };
@@ -347,6 +328,9 @@ private:
   /// backoff).
   bool runPolicy();
   void snapshot();
+  /// Reads and clears every node's contender bitmap into its region's
+  /// ContenderBits.
+  void collectContenders();
   void policyTrace(PolicyAction A, uint64_t Target);
 
   LockRuntime &RT;
@@ -361,7 +345,6 @@ private:
 
   // Policy state, serialized by PolicyMu.
   mutable std::mutex PolicyMu;
-  std::unordered_map<const LockNode *, NodeState> NodeStates;
   std::vector<RegionState> RegionStates;
   bool HaveSnapshot = false;
   bool ArmedThisTick = false; ///< duty cycle: profiler armed, read next
@@ -373,8 +356,6 @@ private:
 
   // Metrics (resolved once from the runtime's registry).
   obs::Counter *MEpochs = nullptr;
-  obs::Counter *MBiasSet = nullptr;
-  obs::Counter *MBiasCleared = nullptr;
   obs::Counter *MEscalations = nullptr;
   obs::Counter *MDeescalations = nullptr;
   obs::Counter *MStmMigrations = nullptr;

@@ -97,23 +97,6 @@ public:
                                  Serving.load(std::memory_order_relaxed));
   }
 
-  /// Reader-preference bias (set by the adaptive engine on persistently
-  /// read-mostly nodes): while on, an IS/S request that is compatible
-  /// with every granted mode may keep its optimistic grant even though
-  /// waiters are parked, spending one barge credit per overtake. The
-  /// credit refills whenever a queued waiter is granted, so a parked
-  /// writer is overtaken by at most \p Credit readers per queue grant —
-  /// a bounded-bypass valve, not an unfair lock.
-  void setReaderBias(bool On, uint32_t Credit = 256) {
-    BargeRefill.store(On ? Credit : 0, std::memory_order_relaxed);
-    BargeCredit.store(On ? static_cast<int32_t>(Credit) : 0,
-                      std::memory_order_relaxed);
-    Bias.store(On ? 1 : 0, std::memory_order_relaxed);
-  }
-  bool readerBias() const {
-    return Bias.load(std::memory_order_relaxed) != 0;
-  }
-
 private:
   // Word layout: five 12-bit grant counts (mode i at bits [12i, 12i+12)),
   // then the has-waiters bit (queue non-empty) and the head-parked bit
@@ -174,13 +157,6 @@ private:
       uint64_t W = Word.fetch_add(One, std::memory_order_acquire);
       assert((W & grantMask(M)) != grantMask(M) && "grant count overflow");
       if (!(W & (Conflicts | WaiterBit)))
-        return true;
-      // Reader barge: compatible with everything granted, blocked only
-      // by the waiter bit. With bias on and credit left, keep the grant
-      // instead of queueing behind the parked (writer) waiters.
-      if (!(W & Conflicts) && (M == Mode::IS || M == Mode::S) &&
-          Bias.load(std::memory_order_relaxed) &&
-          BargeCredit.fetch_sub(1, std::memory_order_relaxed) > 0)
         return true;
       uint64_t Prev = Word.fetch_sub(One, std::memory_order_acq_rel);
       // Our phantom grant may have made a sleeping head's own grant
@@ -286,10 +262,6 @@ private:
     Head = Me.Next;
     if (!Head)
       Tail = nullptr;
-    // A queued waiter got through: replenish the reader barge allowance
-    // (the anti-starvation half of the bias valve).
-    if (uint32_t R = BargeRefill.load(std::memory_order_relaxed))
-      BargeCredit.store(static_cast<int32_t>(R), std::memory_order_relaxed);
     Word.fetch_and(~(HeadParkedBit | (Head ? 0 : WaiterBit)),
                    std::memory_order_relaxed);
     Serving.store(Me.Ticket + 1, std::memory_order_release);
@@ -315,12 +287,6 @@ private:
   Waiter *Head = nullptr;
   Waiter *Tail = nullptr;
   uint64_t NextTicket = 0;
-  // Reader-bias valve (see setReaderBias). Credit may transiently drift
-  // below zero under concurrent failed barges; refills store the
-  // absolute allowance, so the drift never accumulates.
-  std::atomic<uint8_t> Bias{0};
-  std::atomic<int32_t> BargeCredit{0};
-  std::atomic<uint32_t> BargeRefill{0};
 };
 
 } // namespace rt

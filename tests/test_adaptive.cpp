@@ -50,8 +50,6 @@ struct Rig {
 AdaptiveConfig manualConfig() {
   AdaptiveConfig C;
   C.ArmDutyTicks = 1; // always armed: tick N+1 sees tick N..N+1 deltas
-  C.BiasEpochs = 2;
-  C.BiasMinContentions = 4;
   C.EscalateEpochs = 2;
   C.DeescalateEpochs = 2;
   C.StmEpochs = 2;
@@ -61,110 +59,7 @@ AdaptiveConfig manualConfig() {
 }
 
 //===----------------------------------------------------------------------===//
-// Rung 1: reader bias
-//===----------------------------------------------------------------------===//
-
-TEST(AdaptiveBias, SetAfterHysteresisClearAfterShift) {
-  Rig R(manualConfig());
-  LockNode &Leaf = R.RT.leafNode(0, 0x1000);
-  ASSERT_NE(Leaf.ObsId, 0u);
-
-  R.Eng.tick(); // first armed tick only snapshots
-
-  // Two consecutive read-mostly contended epochs set the bias — but not
-  // one.
-  auto PumpReads = [&] {
-    R.slot(Leaf).ModeCounts[kS].add(95);
-    R.slot(Leaf).ModeCounts[kX].add(5);
-    R.slot(Leaf).Contentions.add(8);
-  };
-  PumpReads();
-  R.Eng.tick();
-  EXPECT_FALSE(Leaf.readerBias()); // HiStreak = 1 < BiasEpochs
-  PumpReads();
-  R.Eng.tick();
-  EXPECT_TRUE(Leaf.readerBias());
-  EXPECT_EQ(R.Reg.counter("adaptive.reader_bias_set").value(), 1u);
-
-  // One cooldown tick sits out, then two write-heavy epochs clear it.
-  auto PumpWrites = [&] { R.slot(Leaf).ModeCounts[kX].add(100); };
-  PumpWrites();
-  R.Eng.tick(); // cooldown
-  EXPECT_TRUE(Leaf.readerBias());
-  PumpWrites();
-  R.Eng.tick(); // LoStreak = 1
-  EXPECT_TRUE(Leaf.readerBias());
-  PumpWrites();
-  R.Eng.tick(); // LoStreak = 2: clear
-  EXPECT_FALSE(Leaf.readerBias());
-  EXPECT_EQ(R.Reg.counter("adaptive.reader_bias_cleared").value(), 1u);
-}
-
-TEST(AdaptiveBias, DeadBandNeverPingPongs) {
-  Rig R(manualConfig());
-  LockNode &Leaf = R.RT.leafNode(0, 0x1000);
-  R.Eng.tick();
-
-  // 80% reads sits between BiasReadLo (70%) and BiasReadHi (90%): no
-  // matter how long it persists, neither transition may fire.
-  for (int E = 0; E < 8; ++E) {
-    R.slot(Leaf).ModeCounts[kS].add(80);
-    R.slot(Leaf).ModeCounts[kX].add(20);
-    R.slot(Leaf).Contentions.add(10);
-    R.Eng.tick();
-    EXPECT_FALSE(Leaf.readerBias());
-  }
-  EXPECT_EQ(R.Reg.counter("adaptive.reader_bias_set").value(), 0u);
-  EXPECT_EQ(R.Reg.counter("adaptive.reader_bias_cleared").value(), 0u);
-}
-
-TEST(AdaptiveBias, UncontendedReadsNeverBias) {
-  Rig R(manualConfig());
-  LockNode &Leaf = R.RT.leafNode(0, 0x1000);
-  R.Eng.tick();
-  // Pure reads but below BiasMinContentions: bias would only add
-  // bookkeeping on a lock nobody waits for.
-  for (int E = 0; E < 4; ++E) {
-    R.slot(Leaf).ModeCounts[kS].add(100);
-    R.slot(Leaf).Contentions.add(1);
-    R.Eng.tick();
-  }
-  EXPECT_FALSE(Leaf.readerBias());
-}
-
-TEST(AdaptiveBias, WriterMakesProgressUnderReaderBias) {
-  // The barge valve admits BargeCredit readers past a parked writer,
-  // then the FIFO queue must win: the writer completes while readers
-  // keep hammering.
-  LockNode N;
-  N.setReaderBias(true, /*Credit=*/16);
-  std::atomic<bool> Stop{false};
-  std::atomic<bool> WriterDone{false};
-  std::vector<std::thread> Readers;
-  for (int I = 0; I < 3; ++I)
-    Readers.emplace_back([&] {
-      while (!Stop.load(std::memory_order_relaxed)) {
-        N.acquire(Mode::S);
-        N.release(Mode::S);
-      }
-    });
-  std::thread Writer([&] {
-    N.acquire(Mode::X);
-    N.release(Mode::X);
-    WriterDone.store(true, std::memory_order_release);
-  });
-  for (int I = 0; I < 10000 && !WriterDone.load(std::memory_order_acquire);
-       ++I)
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  Stop.store(true, std::memory_order_relaxed);
-  Writer.join();
-  for (std::thread &T : Readers)
-    T.join();
-  EXPECT_TRUE(WriterDone.load());
-}
-
-//===----------------------------------------------------------------------===//
-// Rung 2: stripe escalation
+// Rung 1: stripe escalation
 //===----------------------------------------------------------------------===//
 
 TEST(AdaptiveEscalate, StripesInstalledSizedAndRemoved) {
@@ -256,7 +151,7 @@ TEST(AdaptiveEscalate, LiveEscalationKeepsSectionsAtomic) {
 }
 
 //===----------------------------------------------------------------------===//
-// Rung 3: STM migration
+// Rung 2: STM migration
 //===----------------------------------------------------------------------===//
 
 TEST(AdaptiveStm, MigratesOnSustainedWaitThenFallsBackOnAbortStorm) {

@@ -632,6 +632,58 @@ TEST(FlightRecorderTest, DumpRateLimit) {
   std::fclose(Sink);
 }
 
+/// The decoded value of the first `"Key": "..."` string in \p Text: undoes
+/// the escaper's `\"`, `\\` and `\u00XX` (empty when the key is absent).
+std::string stringField(std::string_view Text, std::string_view Key) {
+  std::string Needle = "\"" + std::string(Key) + "\": \"";
+  size_t Pos = Text.find(Needle);
+  if (Pos == std::string_view::npos)
+    return {};
+  std::string Out;
+  for (Pos += Needle.size(); Pos < Text.size() && Text[Pos] != '"'; ++Pos) {
+    if (Text[Pos] != '\\') {
+      Out += Text[Pos];
+    } else if (Text[++Pos] == 'u') {
+      Out += static_cast<char>(
+          std::stoi(std::string(Text.substr(Pos + 1, 4)), nullptr, 16));
+      Pos += 4;
+    } else {
+      Out += Text[Pos];
+    }
+  }
+  return Out;
+}
+
+TEST(JsonEscape, LogLineAndFlightRecordParseBack) {
+  const std::string Nasty = "a\"b\\c\x01" "d";
+  const std::string Escaped = "a\\\"b\\\\c\\u0001d";
+
+  std::FILE *Sink = std::tmpfile();
+  ASSERT_NE(Sink, nullptr);
+  Logger L;
+  L.setSink(Sink);
+  L.event(LogLevel::Info, "test.escape").str("peer", Nasty);
+  std::string Line = readSink(Sink);
+  ASSERT_FALSE(Line.empty());
+  Line.pop_back(); // the line's '\n'
+  EXPECT_TRUE(JsonChecker(Line).valid()) << Line;
+  EXPECT_NE(Line.find(Escaped), std::string::npos) << Line;
+  EXPECT_EQ(stringField(Line, "peer"), Nasty);
+  L.setSink(nullptr);
+  std::fclose(Sink);
+
+  FlightRecorder FR(2);
+  FlightRecord R = makeRecord(1);
+  R.Unit = Nasty;
+  FR.record(R);
+  std::ostringstream OS;
+  FR.writeJson(OS);
+  std::string Json = OS.str();
+  EXPECT_TRUE(JsonChecker(Json).valid()) << Json;
+  EXPECT_NE(Json.find(Escaped), std::string::npos) << Json;
+  EXPECT_EQ(stringField(Json, "unit"), Nasty);
+}
+
 TEST(LockProfilerTest, ContendedTwoThreads) {
   MetricsRegistry Reg;
   LockProfiler Prof;
