@@ -31,11 +31,10 @@
 /// Each multi-threaded scenario runs at 1, 4, and 16 threads, adaptive
 /// off and on, and reports throughput (sections/s) plus p50/p99
 /// per-section latency. Adaptive rows run an untimed warmup first so the
-/// policy ladder converges before measurement, and report the final
-/// backend and striped-region count the policy settled on. Rows also
-/// carry an `oversubscribed` flag (threads > hardware concurrency) so a
-/// single-core container's 16-thread rows are not misread as scaling
-/// results.
+/// policy converges before measurement, and report the striped-region
+/// count it settled on. Rows also carry an `oversubscribed` flag
+/// (threads > hardware concurrency) so a single-core container's
+/// 16-thread rows are not misread as scaling results.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -44,7 +43,6 @@
 #include "obs/Obs.h"
 #include "runtime/Adaptive.h"
 #include "runtime/LockRuntime.h"
-#include "stm/Tl2.h"
 #include "support/Rng.h"
 
 #include <algorithm>
@@ -99,11 +97,8 @@ struct Result {
   double ThroughputOpsPerSec = 0;
   uint64_t P50Ns = 0;
   uint64_t P99Ns = 0;
-  /// Adaptive rows only: where the policy ended up. -1 = n/a.
-  int FinalBackend = -1; ///< 0 = lock, 1 = stm
+  /// Adaptive rows only: regions the policy left striped.
   unsigned StripedRegions = 0;
-  uint64_t StmMigrations = 0;
-  uint64_t StmFallbacks = 0;
 };
 
 uint64_t percentile(std::vector<uint64_t> &Samples, double P) {
@@ -178,14 +173,10 @@ Result benchSections(const char *Name, unsigned NumThreads, Mix M,
   if (ObsOn)
     Prof.setEnabled(true);
   LockRuntime RT(NumRegions, &Reg, &Prof);
-  stm::Stm StmRt;
 
-  // Every section of the run is one migration domain (they all touch the
-  // same address pool, so they are trivially closed under data overlap).
   // Count-based epochs keep the bench deterministic per op count; the
-  // warmup below gives the ladder plenty of ticks to converge.
+  // warmup below gives the policy plenty of ticks to converge.
   std::unique_ptr<adaptive::AdaptiveEngine> Eng;
-  uint32_t Dom = 0;
   if (Adaptive) {
     adaptive::AdaptiveConfig AC;
     // Rare enough that the dormant-tick cost and the armed node walk
@@ -193,15 +184,11 @@ Result benchSections(const char *Name, unsigned NumThreads, Mix M,
     // still provides tens of ticks for convergence.
     AC.EveryNSections = 1024;
     Eng = std::make_unique<adaptive::AdaptiveEngine>(RT, AC);
-    Dom = Eng->addDomain();
-    Eng->bindSection(Dom, /*SectionTag=*/1);
   }
 
   // The data the sections actually read and write: one word per fine
-  // address, one per region for the coarse ops. Lock-mode sections use
-  // plain accesses (the locks serialize them); STM-mode sections route
-  // through the transaction. The drain gate guarantees the two regimes
-  // never overlap.
+  // address, one per region for the coarse ops, accessed plainly (the
+  // locks serialize them).
   std::vector<uint64_t> Words(NumAddrs, 1);
   std::vector<uint64_t> RegionWords(NumRegions, 1);
 
@@ -242,19 +229,15 @@ Result benchSections(const char *Name, unsigned NumThreads, Mix M,
   for (unsigned T = 0; T < NumThreads; ++T) {
     Threads.emplace_back([&, T] {
       ThreadLockContext Ctx(RT);
-      uint32_t Slot = 0;
-      adaptive::AdaptiveEngine::Gate Gate;
-      if (Eng) {
-        Slot = Eng->registerThread();
-        Gate = Eng->gate(Slot, Dom);
-        Ctx.setSectionTag(1); // feed the domain's wait/hold stats
-      }
+      uint32_t TickSections = 0;
       const std::vector<Op> &S = Streams[T];
       std::vector<uint64_t> &MyLat = Lat[T];
       MyLat.reserve(OpsPerThread / LatSampleEvery + 1);
       uint64_t Sink = 0;
 
-      auto LockBody = [&](const Op &O) {
+      auto RunOne = [&](const Op &O) {
+        if (Eng)
+          Eng->maybeTick(TickSections);
         // An elided section is the transformed program of a
         // never-parallel section: same body, no lock protocol.
         if (!Elided) {
@@ -275,30 +258,6 @@ Result benchSections(const char *Name, unsigned NumThreads, Mix M,
         if (!Elided)
           Ctx.releaseAll();
       };
-      auto RunOne = [&](const Op &O) {
-        if (!Eng) {
-          LockBody(O);
-          return;
-        }
-        Eng->maybeTick(Gate);
-        adaptive::Backend B = Eng->enter(Gate);
-        if (B == adaptive::Backend::Stm) {
-          uint64_t *W = O.D.K == LockDescriptor::Kind::Fine
-                            ? &Words[O.Idx]
-                            : &RegionWords[O.Idx];
-          unsigned Aborts = StmRt.atomically([&](stm::Transaction &Tx) {
-            if (O.D.Write)
-              Tx.write(W, Tx.read(W) + 1);
-            else
-              Sink += Tx.read(W);
-          });
-          Eng->noteStm(Dom, 1, Aborts);
-        } else {
-          LockBody(O);
-        }
-        Eng->exit(Gate);
-      };
-
       for (uint64_t I = 0; I < WarmupOps; ++I)
         RunOne(S[I % S.size()]);
       Ready.fetch_add(1, std::memory_order_release);
@@ -321,8 +280,6 @@ Result benchSections(const char *Name, unsigned NumThreads, Mix M,
                   .count()));
       }
       GlobalSink.fetch_add(Sink, std::memory_order_relaxed);
-      if (Eng)
-        Eng->unregisterThread(Slot);
     });
   }
   while (Ready.load(std::memory_order_acquire) < NumThreads)
@@ -348,14 +305,10 @@ Result benchSections(const char *Name, unsigned NumThreads, Mix M,
   R.ThroughputOpsPerSec = static_cast<double>(R.Ops) / Secs;
   R.P50Ns = percentile(All, 0.50);
   R.P99Ns = percentile(All, 0.99);
-  if (Eng) {
-    R.FinalBackend = static_cast<int>(Eng->domainBackend(Dom));
+  if (Eng)
     for (unsigned Rg = 0; Rg < NumRegions; ++Rg)
       if (RT.regionLayout(Rg))
         ++R.StripedRegions;
-    R.StmMigrations = Reg.counter("adaptive.stm_migrations").value();
-    R.StmFallbacks = Reg.counter("adaptive.stm_fallbacks").value();
-  }
   return R;
 }
 
@@ -410,13 +363,13 @@ bool emitJson(const std::vector<Result> &Results,
     return false;
   }
   std::fprintf(F,
-               "{\n  \"bench\": \"runtime\",\n  \"schema\": 4,\n"
+               "{\n  \"bench\": \"runtime\",\n  \"schema\": 5,\n"
                "  \"nproc\": %u,\n  \"build_type\": \"%s\",\n"
                "  \"commit\": \"%s\",\n"
                "  \"note\": \"rows with oversubscribed=true "
                "ran more threads than hardware threads; adaptive rows warm "
-               "up untimed until the policy converges and report the final "
-               "backend; elided=true rows run the section body with the "
+               "up untimed until the policy converges and report the "
+               "regions it left striped; elided=true rows run the section body with the "
                "lock protocol removed (MHP never-parallel elision); "
                "obs_overhead = lock profiler armed vs dormant, "
                "median of order-alternated paired reps\",\n"
@@ -436,9 +389,8 @@ bool emitJson(const std::vector<Result> &Results,
                  static_cast<unsigned long long>(R.Ops), R.ThroughputOpsPerSec,
                  static_cast<unsigned long long>(R.P50Ns),
                  static_cast<unsigned long long>(R.P99Ns));
-    if (R.FinalBackend >= 0)
-      std::fprintf(F, ", \"final_backend\": \"%s\", \"striped_regions\": %u",
-                   R.FinalBackend == 1 ? "stm" : "lock", R.StripedRegions);
+    if (R.Adaptive)
+      std::fprintf(F, ", \"striped_regions\": %u", R.StripedRegions);
     std::fprintf(F, "}%s\n", I + 1 < Results.size() ? "," : "");
   }
   std::fprintf(F, "  ]%s\n", Overheads.empty() ? "" : ",");
@@ -490,11 +442,8 @@ int main(int Argc, char **Argv) {
               "adaptive", "ops", "ops/sec", "p50(ns)", "p99(ns)", "policy");
   auto Report = [&](Result R) {
     char Policy[64] = "";
-    if (R.FinalBackend >= 0)
-      std::snprintf(Policy, sizeof(Policy), "%s, %u striped, mig=%llu fb=%llu",
-                    R.FinalBackend == 1 ? "stm" : "lock", R.StripedRegions,
-                    static_cast<unsigned long long>(R.StmMigrations),
-                    static_cast<unsigned long long>(R.StmFallbacks));
+    if (R.Adaptive)
+      std::snprintf(Policy, sizeof(Policy), "%u striped", R.StripedRegions);
     else if (R.Elided)
       std::snprintf(Policy, sizeof(Policy), "elided");
     std::printf("%-20s %8u %9s %12llu %16.0f %10llu %10llu %s\n",

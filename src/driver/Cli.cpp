@@ -53,8 +53,8 @@ const OptionSpec Options[] = {
      "run with one global lock instead of the inferred locks",
      [](CliOptions &O, const char *) { return O.GlobalLock = true; }},
     {nullptr, "--adaptive", nullptr,
-     "run with the contention-adaptive hybrid runtime (striped "
-     "escalation, STM migration)",
+     "run with the contention-adaptive runtime (stripe escalation of "
+     "hot fine-grained regions)",
      [](CliOptions &O, const char *) { return O.Adaptive = true; }},
     {nullptr, "--adaptive-epoch-ms", "N",
      "policy epoch period for --adaptive in ms (default 50)",

@@ -27,8 +27,8 @@ struct CliOptions {
   unsigned Jobs = 0;
   bool Run = false;
   bool GlobalLock = false;
-  /// Contention-adaptive hybrid runtime during --run: start on the
-  /// inferred locks, let the policy engine stripe/migrate.
+  /// Contention-adaptive runtime during --run: the inferred locks, with
+  /// the policy engine striping hot fine-grained regions.
   bool Adaptive = false;
   unsigned AdaptiveEpochMs = 50; ///< policy epoch period for --adaptive
   /// Run the concurrency checker after inference and print its JSON

@@ -253,15 +253,14 @@ bool fuzz::checkExecEquivalence(const std::string &Source, const FuzzConfig &C,
                         Primary, execOptions(C, Inferred, Y)});
     Variants.push_back({"stm yields=" + std::to_string(Y), Primary,
                         execOptions(C, AtomicMode::Stm, Y)});
-    // Fourth backend: the contention-adaptive runtime in force-flip
-    // stress mode — every migration domain changes backend every few
-    // sections, so each seed exercises mid-run lock↔STM migration
-    // through the drain gate. Needs inferred locks for the lock side.
+    // Fourth backend: inferred locks under the contention-adaptive
+    // engine, ticking every few sections so each seed runs the policy
+    // (and any stripe escalation it decides) mid-run. It always takes
+    // the inferred locks, so --strip-locks skips it.
     if (!C.StripLocks) {
-      ExecVariant Adaptive{"adaptive force-flip yields=" + std::to_string(Y),
-                           Primary, execOptions(C, AtomicMode::Adaptive, Y)};
+      ExecVariant Adaptive{"adaptive yields=" + std::to_string(Y), Primary,
+                           execOptions(C, AtomicMode::Adaptive, Y)};
       Adaptive.Options.AdaptiveEveryN = 5;
-      Adaptive.Options.AdaptiveForceFlip = true;
       Variants.push_back(std::move(Adaptive));
     }
   }

@@ -14,8 +14,9 @@
 ///     reproduce the cold report byte for byte.
 ///  2. Execution equivalence: for programs whose final heap is
 ///     schedule-invariant (Family::Seq, Family::Commute), the inferred-lock
-///     execution at every k, the single-global-lock reference, and the STM
-///     backend must all finish Ok with the same main() result and the same
+///     execution at every k (and under the contention-adaptive engine),
+///     the single-global-lock reference, and the STM backend must all
+///     finish Ok with the same main() result and the same
 ///     canonical reachable-heap fingerprint, across a sweep of injected
 ///     yield schedules.
 ///  3. Soundness (Theorem 1): under the §4.2 checking interpreter the

@@ -159,16 +159,14 @@ struct Shared {
   const InterpOptions &Options;
 
   std::unique_ptr<rt::LockRuntime> LockRT;
-  std::unique_ptr<TxTable> Tx; ///< non-null iff Mode == Stm or Adaptive
+  std::unique_ptr<TxTable> Tx; ///< non-null iff Mode == Stm
   std::atomic<uint64_t> StmCommits{0};
   std::atomic<uint64_t> StmAborts{0};
 
-  /// AtomicMode::Adaptive: the policy engine and the static section →
-  /// migration-domain map (built over the inference's lock sets; see
-  /// buildMigrationDomains). Declared after LockRT so the engine — whose
-  /// epoch thread walks the runtime's nodes — dies first.
+  /// AtomicMode::Adaptive: the policy engine. Declared after LockRT so
+  /// the engine — whose epoch thread walks the runtime's nodes — dies
+  /// first.
   std::unique_ptr<rt::adaptive::AdaptiveEngine> Engine;
-  std::vector<uint32_t> SectionDomain;
 
   ObjectTable Objects;
 
@@ -225,14 +223,7 @@ enum class Flow { Normal, Returned, Stopped };
 class ThreadExec {
 public:
   ThreadExec(Shared &S, uint64_t YieldSeed)
-      : S(S), LockCtx(*S.LockRT), YieldRng(YieldSeed) {
-    if (S.Engine)
-      GateSlot = S.Engine->registerThread();
-  }
-  ~ThreadExec() {
-    if (S.Engine)
-      S.Engine->unregisterThread(GateSlot);
-  }
+      : S(S), LockCtx(*S.LockRT), YieldRng(YieldSeed) {}
 
   /// Runs \p F with \p Args; the return value (or null) in ReturnValue.
   Flow callFunction(const IrFunction *F, const std::vector<Value> &Args);
@@ -490,19 +481,14 @@ private:
 
   /// Runs \p A as a closed transaction: speculative execution of the
   /// body with buffered writes, retried until a commit succeeds.
-  /// StmCallCommitted/StmCallAborts summarize the outermost call for the
-  /// adaptive engine's abort-storm signal.
   Flow execAtomicStm(const Frame &Fr, const AtomicIrStmt *A) {
     if (InTx) // flattened nesting: the outer transaction covers it
       return execStmt(Fr, A->body());
-    StmCallCommitted = false;
-    StmCallAborts = 0;
     for (unsigned Attempt = 0; Attempt < 100'000; ++Attempt) {
       txBegin();
       Flow F = execStmt(Fr, A->body());
       if (TxFailed || (F != Flow::Stopped && !txCommit())) {
         txReset();
-        ++StmCallAborts;
         S.StmAborts.fetch_add(1, std::memory_order_relaxed);
         if (S.Stop.load(std::memory_order_acquire))
           return Flow::Stopped;
@@ -512,40 +498,12 @@ private:
         continue;
       }
       txReset();
-      if (F != Flow::Stopped) {
+      if (F != Flow::Stopped)
         S.StmCommits.fetch_add(1, std::memory_order_relaxed);
-        StmCallCommitted = true;
-      }
       return F;
     }
     S.fail("stm livelock: section never committed");
     return Flow::Stopped;
-  }
-
-  /// AtomicMode::Adaptive outermost dispatch: pass the drain gate, run
-  /// the section on whichever backend the domain currently uses, and
-  /// report STM outcomes back to the policy engine. Nested sections
-  /// never touch the gate: a lock-backend outer section covers them via
-  /// the nesting counter, a transactional one via flattening — so a
-  /// thread is inside at most one gated domain at a time and the drain
-  /// in AdaptiveEngine::flipDomain cannot deadlock against it.
-  Flow execAtomicAdaptive(const Frame &Fr, const AtomicIrStmt *A) {
-    if (InTx)
-      return execAtomicStm(Fr, A); // flattens into the outer transaction
-    if (LockCtx.insideAtomic())
-      return execAtomicLocked(Fr, A); // nesting counter, no locks taken
-    uint32_t Dom = S.SectionDomain[A->sectionId()];
-    S.Engine->maybeTick(GateSlot);
-    rt::adaptive::Backend B = S.Engine->enterSection(GateSlot, Dom);
-    Flow F;
-    if (B == rt::adaptive::Backend::Stm) {
-      F = execAtomicStm(Fr, A);
-      S.Engine->noteStm(Dom, StmCallCommitted ? 1 : 0, StmCallAborts);
-    } else {
-      F = execAtomicLocked(Fr, A);
-    }
-    S.Engine->exitSection(GateSlot);
-    return F;
   }
 
   std::optional<Value> readVar(const Frame &Fr, const Variable *V) {
@@ -585,14 +543,11 @@ private:
   /// check is replaced by the static never-parallel proof.
   bool InElidedSection = false;
 
-  /// Adaptive-gate inflight slot (valid iff S.Engine).
-  uint32_t GateSlot = 0;
-  /// Outcome of the last outermost execAtomicStm call.
-  bool StmCallCommitted = false;
-  uint64_t StmCallAborts = 0;
+  /// Outermost sections since this thread's last count-based policy
+  /// tick (AtomicMode::Adaptive).
+  uint32_t TickSections = 0;
 
-  // STM transaction state (AtomicMode::Stm or the STM backend of
-  // AtomicMode::Adaptive).
+  // STM transaction state (AtomicMode::Stm).
   bool InTx = false;
   bool TxFailed = false;
   uint64_t TxRV = 0;
@@ -714,8 +669,7 @@ bool ThreadExec::enterSection(const Frame &Fr, const AtomicIrStmt *A) {
     assert(false && "STM sections are handled by execAtomicStm");
     return true;
   case AtomicMode::Adaptive:
-    // Lock backend of an adaptive domain: inferred locks when available,
-    // the global-lock baseline otherwise.
+    // Inferred locks when available, the global-lock baseline otherwise.
     if (!S.Inference) {
       LockCtx.toAcquire(rt::LockDescriptor::global());
       LockCtx.acquireAll();
@@ -770,9 +724,12 @@ bool ThreadExec::enterSection(const Frame &Fr, const AtomicIrStmt *A) {
 }
 
 /// One atomic section on the lock backend: enter (acquire per the mode),
-/// run the body, release. Shared by the dedicated lock modes and the
-/// lock half of AtomicMode::Adaptive.
+/// run the body, release. Under AtomicMode::Adaptive an outermost
+/// section first gives the policy engine its count-based tick, while the
+/// thread holds no locks.
 Flow ThreadExec::execAtomicLocked(const Frame &Fr, const AtomicIrStmt *A) {
+  if (S.Engine && !LockCtx.insideAtomic())
+    S.Engine->maybeTick(TickSections);
   uint64_t SpanT0 = 0;
   if (!LockCtx.insideAtomic() && obs::tracer().enabled())
     SpanT0 = obs::nowNs();
@@ -1060,8 +1017,6 @@ Flow ThreadExec::execStmt(const Frame &Fr, const IrStmt *St) {
     const auto *A = cast<AtomicIrStmt>(St);
     if (S.Options.Mode == AtomicMode::Stm)
       return execAtomicStm(Fr, A);
-    if (S.Options.Mode == AtomicMode::Adaptive)
-      return execAtomicAdaptive(Fr, A);
     return execAtomicLocked(Fr, A);
   }
   case IrStmt::Kind::Return: {
@@ -1148,93 +1103,6 @@ Flow ThreadExec::callFunction(const IrFunction *F,
   return Result;
 }
 
-/// Partitions the program's atomic sections into migration domains:
-/// groups that must flip between the lock and STM backends together
-/// because their lock sets may cover overlapping data. Union-find over
-/// region keys: a coarse or fine lock contributes its static region
-/// (fine locks materialize as leaves/stripes under that region node), so
-/// two sections land in one domain iff their regions are connected
-/// through some section's lock set. A Top (global) lock conflicts with
-/// everything, so any section carrying one merges all keys. Lockless
-/// sections touch no shared state and get singleton domains.
-static void buildMigrationDomains(const IrModule &Module,
-                                  const InferenceResult *Inference,
-                                  unsigned NumRegions,
-                                  rt::adaptive::AdaptiveEngine &Engine,
-                                  std::vector<uint32_t> &SectionDomain) {
-  uint32_t NumSections = Module.numAtomicSections();
-  SectionDomain.assign(NumSections, 0);
-
-  // Keys: one per region, plus one "global" key for Top locks.
-  uint32_t NumKeys = NumRegions + 1;
-  std::vector<uint32_t> Parent(NumKeys);
-  for (uint32_t I = 0; I < NumKeys; ++I)
-    Parent[I] = I;
-  auto Find = [&](uint32_t X) {
-    while (Parent[X] != X) {
-      Parent[X] = Parent[Parent[X]];
-      X = Parent[X];
-    }
-    return X;
-  };
-  auto Unite = [&](uint32_t A, uint32_t B) { Parent[Find(A)] = Find(B); };
-
-  auto keyOf = [&](const LockName &L) -> uint32_t {
-    if (L.isTop())
-      return NumRegions; // the global key
-    RegionId R = L.region();
-    return (R == InvalidRegion || R >= NumRegions) ? 0 : R;
-  };
-
-  bool AnyTop = false;
-  if (Inference) {
-    for (const InferenceResult::Section &Sec : Inference->sections()) {
-      uint32_t First = UINT32_MAX;
-      for (const LockName &L : Sec.Locks) {
-        if (L.isTop())
-          AnyTop = true;
-        uint32_t K = keyOf(L);
-        if (First == UINT32_MAX)
-          First = K;
-        else
-          Unite(First, K);
-      }
-    }
-  } else {
-    // Global-lock baseline: every section holds the one global lock.
-    AnyTop = true;
-  }
-  if (AnyTop)
-    for (uint32_t I = 1; I < NumKeys; ++I)
-      Unite(0, I);
-
-  // One domain per live component; sections with no locks get their own.
-  std::vector<uint32_t> KeyDomain(NumKeys, UINT32_MAX);
-  for (uint32_t Id = 0; Id < NumSections; ++Id) {
-    uint32_t First = UINT32_MAX;
-    if (Inference) {
-      const LockSet &Locks = Inference->sectionLocks(Id);
-      for (const LockName &L : Locks) {
-        First = keyOf(L);
-        break;
-      }
-    } else {
-      First = NumRegions;
-    }
-    uint32_t Dom;
-    if (First == UINT32_MAX) {
-      Dom = Engine.addDomain(); // lockless: private domain
-    } else {
-      uint32_t Root = Find(First);
-      if (KeyDomain[Root] == UINT32_MAX)
-        KeyDomain[Root] = Engine.addDomain();
-      Dom = KeyDomain[Root];
-    }
-    SectionDomain[Id] = Dom;
-    Engine.bindSection(Dom, Id + 1); // profiler tags are 1-based
-  }
-}
-
 } // namespace
 
 InterpResult lockin::interpret(const IrModule &Module,
@@ -1256,18 +1124,14 @@ InterpResult lockin::interpret(const IrModule &Module,
 
   Shared S{Module, PT, Inference, Options};
   S.LockRT = std::make_unique<rt::LockRuntime>(PT.numRegions());
-  if (Options.Mode == AtomicMode::Stm ||
-      Options.Mode == AtomicMode::Adaptive)
+  if (Options.Mode == AtomicMode::Stm)
     S.Tx = std::make_unique<TxTable>();
   if (Options.Mode == AtomicMode::Adaptive) {
     rt::adaptive::AdaptiveConfig AC;
     AC.EveryNSections = Options.AdaptiveEveryN;
     AC.EpochMs = Options.AdaptiveEpochMs;
-    AC.ForceFlip = Options.AdaptiveForceFlip;
     S.Engine =
         std::make_unique<rt::adaptive::AdaptiveEngine>(*S.LockRT, AC);
-    buildMigrationDomains(Module, Inference, PT.numRegions(), *S.Engine,
-                          S.SectionDomain);
     S.Engine->start();
   }
 

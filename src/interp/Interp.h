@@ -47,12 +47,10 @@ namespace lockin {
 /// the differential fuzzer's third execution backend; the §4.2
 /// protection checking does not apply to it (there are no held locks).
 ///
-/// Adaptive starts every section on the Inferred lock backend (GlobalLock
-/// when no inference is supplied) and lets the contention-adaptive policy
-/// engine migrate migration domains — groups of sections closed under
-/// potential data overlap — between the lock and STM backends at run
-/// time, through a drain gate that keeps the two regimes from ever
-/// overlapping on the same domain (see DESIGN.md "Adaptive runtime").
+/// Adaptive runs every section on the Inferred lock backend (GlobalLock
+/// when no inference is supplied) with the contention-adaptive policy
+/// engine attached, which escalates hot fine-grained regions into
+/// striped leaf tables at run time (see DESIGN.md "Adaptive runtime").
 enum class AtomicMode { None, GlobalLock, Inferred, Stm, Adaptive };
 
 struct InterpOptions {
@@ -82,10 +80,6 @@ struct InterpOptions {
   /// AtomicMode::Adaptive: wall-clock policy epoch period in ms; 0 runs
   /// count-based epochs only.
   unsigned AdaptiveEpochMs = 0;
-  /// AtomicMode::Adaptive stress knob (differential fuzzer): flip every
-  /// migration domain's backend every epoch instead of following the
-  /// contention policy, maximizing mid-run migrations.
-  bool AdaptiveForceFlip = false;
 };
 
 struct InterpResult {

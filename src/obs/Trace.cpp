@@ -211,8 +211,7 @@ void Tracer::writeChromeJson(std::ostream &OS) const {
       case EventKind::PolicyEvent: {
         // Mirrors rt::adaptive::PolicyAction (obs cannot include the
         // runtime's adaptive header without a dependency cycle).
-        static const char *const Actions[] = {"escalate", "deescalate",
-                                              "migrate-stm", "migrate-lock"};
+        static const char *const Actions[] = {"escalate", "deescalate"};
         Name = "policy:";
         Name += E.Mode < std::size(Actions) ? Actions[E.Mode] : "unknown";
         std::snprintf(Buf, sizeof(Buf), "{\"target\": %" PRIu64 "}", E.A);

@@ -30,25 +30,33 @@ inline void cpuRelax() {
 } // namespace detail
 
 /// A blocking multi-mode lock: one node of the tree hierarchy
-/// (root ⊤ → region → address). Requests are granted FIFO — a request
-/// waits until it is at the head of the queue and compatible with every
-/// currently granted mode — which prevents writer starvation while still
-/// letting compatible holders (e.g. many S readers) overlap.
+/// (root ⊤ → region → address). A request compatible with every
+/// currently granted mode takes its grant at once, even past queued
+/// waiters (bounded bypass); an incompatible one queues. Queued waiters
+/// are served FIFO among themselves and only the queue head grants
+/// itself. Bypass is bounded: once the head has waited StarveNs, it sets
+/// the starving bit, and from then until its grant every arrival queues
+/// behind it, so each head is granted within StarveNs plus the longest
+/// hold of the grants already issued. Deadlock freedom does not rest on
+/// the grant order of one node but on the hierarchy's top-down
+/// acquisition order (LockRuntime); bypass only keeps a descheduled head
+/// from convoying every later request behind it.
 ///
 /// The whole grant state lives in one atomic word: a 12-bit grant count
-/// per mode (IS, IX, S, SIX, X), a has-waiters bit and a head-parked bit.
+/// per mode (IS, IX, S, SIX, X), a head-parked bit and the starving bit.
 /// Uncontended acquire is a single fetch_add (compatibility is one AND
 /// against a precomputed conflict mask) and uncontended release a single
 /// fetch_sub; neither touches the mutex. A request that observes a
-/// conflict — or the waiter bit, which means barging would overtake
-/// queued threads — takes a FIFO ticket and waits its turn. A queued
-/// waiter first spins, without the mutex, on the serving ticket and the
-/// grant word for up to one park+wake round trip (QueueSpinNs), so a
-/// short critical section hands over without a futex round trip; only
-/// then does it sleep, on a condition variable of its own. A release
-/// wakes someone only when the head-parked bit says the queue head sleeps,
-/// and then wakes exactly that head; granting the head wakes only the next
-/// head, so no release ever wakes the whole queue.
+/// conflict — or the starving bit — takes a FIFO ticket and waits its
+/// turn. A queued waiter first spins, without the mutex, on the serving
+/// ticket and the grant word for up to one park+wake round trip
+/// (QueueSpinNs), so a short critical section hands over without a futex
+/// round trip; only then does it sleep, on a condition variable of its
+/// own. The head sleeps with a timeout at its starvation deadline, so the
+/// starving bit is set on time even when no release wakes it. A release
+/// wakes someone only when the head-parked bit says the queue head
+/// sleeps, and then wakes exactly that head; granting the head wakes only
+/// the next head, so no release ever wakes the whole queue.
 class LockNode {
 public:
   /// Blocks until the node is granted in \p M. Returns true iff the
@@ -71,11 +79,11 @@ public:
       wakeHead();
   }
 
-  /// Non-blocking variant; fails when the node is incompatible or any
-  /// thread is queued (queue-jumping would break FIFO).
+  /// Non-blocking variant; fails when the node is incompatible or the
+  /// queue head is starving (the same admission rule as acquire).
   bool tryAcquire(Mode M) {
     uint64_t W = Word.load(std::memory_order_relaxed);
-    while (!(W & (WaiterBit | conflictMask(M)))) {
+    while (!(W & (StarvingBit | conflictMask(M)))) {
       if (Word.compare_exchange_weak(W, W + grantOne(M),
                                      std::memory_order_acquire,
                                      std::memory_order_relaxed))
@@ -99,20 +107,27 @@ public:
 
 private:
   // Word layout: five 12-bit grant counts (mode i at bits [12i, 12i+12)),
-  // then the has-waiters bit (queue non-empty) and the head-parked bit
-  // (the queue head sleeps and must be woken when a grant is released).
-  // 12 bits bound concurrent holders per mode at 4095, far above any
-  // realistic thread count.
+  // then the head-parked bit (the queue head sleeps and must be woken
+  // when a grant is released) and the starving bit (the head has waited
+  // StarveNs: no grant but its own until it is served). 12 bits bound
+  // concurrent holders per mode at 4095, far above any realistic thread
+  // count.
   static constexpr unsigned BitsPerMode = 12;
   static constexpr uint64_t CountMask = (1ull << BitsPerMode) - 1;
-  static constexpr uint64_t WaiterBit = 1ull << (BitsPerMode * NumModes);
-  static constexpr uint64_t HeadParkedBit = WaiterBit << 1;
+  static constexpr uint64_t HeadParkedBit = 1ull << (BitsPerMode * NumModes);
+  static constexpr uint64_t StarvingBit = HeadParkedBit << 1;
   static constexpr unsigned SpinLimit = 48;
   /// How long a queued waiter spins before it sleeps. Spinning past one
   /// park+wake round trip costs more than sleeping would; a condvar
   /// ping-pong between two threads on a 4-core x86-64 host took 12 µs at
   /// p50 and 21–23 µs at p99 per round trip, so the cap is 20 µs.
   static constexpr uint64_t QueueSpinNs = 20000;
+  /// How long the queue head lets compatible arrivals bypass it before
+  /// it closes the node to everyone but itself. Long against a handoff
+  /// (QueueSpinNs) so bypass is the common case, short against a
+  /// scheduler quantum so no request waits long behind a head the OS
+  /// has descheduled.
+  static constexpr uint64_t StarveNs = 1'000'000;
 
   static constexpr unsigned countShift(Mode M) {
     return static_cast<unsigned>(M) * BitsPerMode;
@@ -156,22 +171,22 @@ private:
       // wrongly succeed.
       uint64_t W = Word.fetch_add(One, std::memory_order_acquire);
       assert((W & grantMask(M)) != grantMask(M) && "grant count overflow");
-      if (!(W & (Conflicts | WaiterBit)))
+      if (!(W & (Conflicts | StarvingBit)))
         return true;
       uint64_t Prev = Word.fetch_sub(One, std::memory_order_acq_rel);
       // Our phantom grant may have made a sleeping head's own grant
       // attempt fail; wake it so it retries.
       if (Prev & HeadParkedBit)
         wakeHead();
-      if (W & WaiterBit)
-        return false; // queued waiters have priority: join the queue
+      if (W & StarvingBit)
+        return false; // the head has waited its bound: queue behind it
       // Conflict: spin on plain loads until it clears, then retry the
       // optimistic add; queue once the budget runs out.
       for (;;) {
         if (Budget-- == 0)
           return false;
         W = Word.load(std::memory_order_relaxed);
-        if (W & WaiterBit)
+        if (W & StarvingBit)
           return false;
         if (!(W & Conflicts))
           break;
@@ -209,7 +224,8 @@ private:
   }
 
   /// Wakes the queue head if it sleeps. Called after a grant was dropped
-  /// from the word (release, phantom undo): only the head may claim it.
+  /// from the word (release, phantom undo): of the queued waiters only
+  /// the head may claim it.
   void wakeHead() {
     std::lock_guard<std::mutex> Lock(Mu);
     if (Head && Head->Parked)
@@ -226,17 +242,21 @@ private:
       Me.Ticket = NextTicket++;
       (Head ? Tail->Next : Head) = &Me;
       Tail = &Me;
-      // RMW, not store: fast-path acquirers concurrently mutate the counts.
-      Word.fetch_or(WaiterBit, std::memory_order_relaxed);
     }
+    // When this waiter first failed a grant as the queue head; its
+    // starvation deadline is HeadSince + StarveNs.
+    uint64_t HeadSince = 0;
     // Spin phase: a short holder hands over here, without a futex round
     // trip. Only the head (ticket == Serving) may claim a grant.
     bool Granted = false;
     for (unsigned I = 1;; ++I) {
-      if (Serving.load(std::memory_order_acquire) == Me.Ticket &&
-          tryGrant(Conflicts, One)) {
-        Granted = true;
-        break;
+      if (Serving.load(std::memory_order_acquire) == Me.Ticket) {
+        if (tryGrant(Conflicts, One)) {
+          Granted = true;
+          break;
+        }
+        if (!HeadSince)
+          HeadSince = clockNs();
       }
       if (I % 64 == 0 && clockNs() - T0 >= QueueSpinNs)
         break;
@@ -246,24 +266,38 @@ private:
     // Park phase. The head announces its sleep in the word before its
     // last grant attempt: a release ordered after the announcement sees
     // the bit and wakes it, one ordered before is seen by the attempt.
+    // Until its deadline the head sleeps with a timeout, so it wakes to
+    // close the node (the starving bit, set in the same RMW) even when
+    // compatible arrivals keep the grant busy and no release wakes it.
     // A non-head sleeper is woken by its predecessor's dequeue below.
     while (!Granted) {
+      bool Timed = false;
       if (Serving.load(std::memory_order_relaxed) == Me.Ticket) {
-        Word.fetch_or(HeadParkedBit, std::memory_order_acq_rel);
+        uint64_t Now = clockNs();
+        if (!HeadSince)
+          HeadSince = Now;
+        Timed = Now - HeadSince < StarveNs;
+        Word.fetch_or(Timed ? HeadParkedBit : HeadParkedBit | StarvingBit,
+                      std::memory_order_acq_rel);
         if (tryGrant(Conflicts, One))
           break;
       }
       Me.Parked = true;
-      Me.CV.wait(Lock);
+      if (Timed)
+        Me.CV.wait_until(Lock, std::chrono::steady_clock::time_point(
+                                   std::chrono::nanoseconds(HeadSince +
+                                                            StarveNs)));
+      else
+        Me.CV.wait(Lock);
       Me.Parked = false;
     }
-    // Dequeue: this waiter is the head.
+    // Dequeue: this waiter is the head. Its grant reopens the node to
+    // bypass, and the next head starts a deadline of its own.
     assert(Head == &Me && "granted out of FIFO order");
     Head = Me.Next;
     if (!Head)
       Tail = nullptr;
-    Word.fetch_and(~(HeadParkedBit | (Head ? 0 : WaiterBit)),
-                   std::memory_order_relaxed);
+    Word.fetch_and(~(HeadParkedBit | StarvingBit), std::memory_order_relaxed);
     Serving.store(Me.Ticket + 1, std::memory_order_release);
     // The next waiter may also be compatible (e.g. another reader); if it
     // sleeps, it must wake to claim its turn.

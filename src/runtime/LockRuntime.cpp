@@ -276,8 +276,7 @@ void ThreadLockContext::recordHoldTimes() {
     if (H.Node->ObsId)
       RT.Prof->nodeSlot(H.Node->ObsId)
           .HoldNs.recordWeighted(Now - AcquireEndNs, ObsWeight);
-  // Section-level hold sum (the denominator of the adaptive engine's
-  // wait/hold migration ratio), weight-corrected like the entries.
+  // Section-level hold sum, weight-corrected like the entries.
   RT.Prof->sectionSlot(SectionTag)
       .HoldNs.add((Now - AcquireEndNs) * ObsWeight);
 }

@@ -356,8 +356,7 @@ public:
       return;
     if (ObsActive && !HeldNodes.empty())
       recordHoldTimes();
-    // Parked time is recorded exactly per section (the adaptive
-    // engine's wait/hold migration signal), sampled or not.
+    // Parked time is recorded exactly per section, sampled or not.
     if (SectionParkNs) {
       RT.Prof->sectionSlot(SectionTag).WaitNs.add(SectionParkNs);
       SectionParkNs = 0;

@@ -4,22 +4,19 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// Deterministic policy-ladder tests: the profiler slots are pumped by
-// hand and the engine is ticked manually (EveryNSections = 0, no epoch
-// thread, ArmDutyTicks = 1 so every tick reads a full epoch delta), so
-// each transition fires on an exact tick. The stress tests at the bottom
-// exercise the drain gate and live layout swaps under real threads.
+// Deterministic policy tests: the profiler slots are pumped by hand and
+// the engine is ticked manually (EveryNSections = 0, no epoch thread,
+// ArmDutyTicks = 1 so every tick reads a full epoch delta), so each
+// transition fires on an exact tick. LiveEscalationKeepsSectionsAtomic
+// exercises live layout swaps under real threads.
 //
 //===----------------------------------------------------------------------===//
 
 #include "runtime/Adaptive.h"
-#include "stm/Tl2.h"
 #include "support/Rng.h"
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -52,14 +49,12 @@ AdaptiveConfig manualConfig() {
   C.ArmDutyTicks = 1; // always armed: tick N+1 sees tick N..N+1 deltas
   C.EscalateEpochs = 2;
   C.DeescalateEpochs = 2;
-  C.StmEpochs = 2;
-  C.StmFallbackEpochs = 2;
   C.TransitionCooldownTicks = 1;
   return C;
 }
 
 //===----------------------------------------------------------------------===//
-// Rung 1: stripe escalation
+// Stripe escalation
 //===----------------------------------------------------------------------===//
 
 TEST(AdaptiveEscalate, StripesInstalledSizedAndRemoved) {
@@ -151,73 +146,6 @@ TEST(AdaptiveEscalate, LiveEscalationKeepsSectionsAtomic) {
 }
 
 //===----------------------------------------------------------------------===//
-// Rung 2: STM migration
-//===----------------------------------------------------------------------===//
-
-TEST(AdaptiveStm, MigratesOnSustainedWaitThenFallsBackOnAbortStorm) {
-  AdaptiveConfig C = manualConfig();
-  C.StmMinWaitNs = 1000;
-  C.StmMinAttempts = 4;
-  Rig R(C);
-  uint32_t Dom = R.Eng.addDomain();
-  constexpr uint32_t Tag = 7;
-  R.Eng.bindSection(Dom, Tag);
-  ASSERT_EQ(R.Eng.domainBackend(Dom), Backend::Lock);
-
-  R.Eng.tick(); // snapshot
-
-  // Sustained parking 10x the hold time: two epochs migrate the domain.
-  auto PumpWait = [&] {
-    R.Prof.sectionSlot(Tag).WaitNs.add(10000);
-    R.Prof.sectionSlot(Tag).HoldNs.add(1000);
-  };
-  PumpWait();
-  R.Eng.tick();
-  EXPECT_EQ(R.Eng.domainBackend(Dom), Backend::Lock); // StmStreak = 1
-  PumpWait();
-  R.Eng.tick();
-  EXPECT_EQ(R.Eng.domainBackend(Dom), Backend::Stm);
-  EXPECT_EQ(R.Reg.counter("adaptive.stm_migrations").value(), 1u);
-
-  // Abort storm: >50% aborts over enough attempts, two epochs after the
-  // cooldown flips it back.
-  R.Eng.noteStm(Dom, 2, 8);
-  R.Eng.tick(); // cooldown
-  EXPECT_EQ(R.Eng.domainBackend(Dom), Backend::Stm);
-  R.Eng.noteStm(Dom, 2, 8);
-  R.Eng.tick(); // FallbackStreak = 1
-  EXPECT_EQ(R.Eng.domainBackend(Dom), Backend::Stm);
-  R.Eng.noteStm(Dom, 2, 8);
-  R.Eng.tick(); // FallbackStreak = 2: fall back
-  EXPECT_EQ(R.Eng.domainBackend(Dom), Backend::Lock);
-  EXPECT_EQ(R.Reg.counter("adaptive.stm_fallbacks").value(), 1u);
-
-  // The post-storm cooldown is 4x: the same wait pressure cannot
-  // re-migrate for 4 ticks even with the streak satisfied.
-  for (int E = 0; E < 4; ++E) {
-    PumpWait();
-    R.Eng.tick();
-    EXPECT_EQ(R.Eng.domainBackend(Dom), Backend::Lock);
-  }
-}
-
-TEST(AdaptiveStm, HealthyStmDomainStaysPut) {
-  AdaptiveConfig C = manualConfig();
-  C.StmMinAttempts = 4;
-  Rig R(C);
-  uint32_t Dom = R.Eng.addDomain();
-  R.Eng.bindSection(Dom, 3);
-  R.Eng.forceBackend(Dom, Backend::Stm);
-  R.Eng.tick(); // snapshot
-  for (int E = 0; E < 6; ++E) {
-    R.Eng.noteStm(Dom, 20, 1); // 5% aborts: healthy
-    R.Eng.tick();
-    EXPECT_EQ(R.Eng.domainBackend(Dom), Backend::Stm);
-  }
-  EXPECT_EQ(R.Reg.counter("adaptive.stm_fallbacks").value(), 0u);
-}
-
-//===----------------------------------------------------------------------===//
 // Epoch duty cycle
 //===----------------------------------------------------------------------===//
 
@@ -257,6 +185,28 @@ TEST(AdaptiveDuty, ProfilerArmsOneTickInDutyAndBacksOff) {
   EXPECT_EQ(DormantBeforeArm, 15); // ArmDutyTicks * 4 = 16-tick period
 }
 
+TEST(AdaptiveDuty, MaybeTickCountsEachCallersSections) {
+  AdaptiveConfig C;
+  C.EveryNSections = 3;
+  Rig R(C);
+  uint32_t A = 0, B = 0;
+  for (int I = 0; I < 7; ++I)
+    R.Eng.maybeTick(A); // ticks on the 3rd and 6th section
+  EXPECT_EQ(R.Reg.counter("adaptive.epochs").value(), 2u);
+  EXPECT_EQ(A, 1u);
+  R.Eng.maybeTick(B); // a second thread's counter starts from zero
+  R.Eng.maybeTick(B);
+  EXPECT_EQ(R.Reg.counter("adaptive.epochs").value(), 2u);
+  R.Eng.maybeTick(B);
+  EXPECT_EQ(R.Reg.counter("adaptive.epochs").value(), 3u);
+
+  Rig Off(AdaptiveConfig{}); // EveryNSections = 0: count-based ticks off
+  uint32_t N = 0;
+  for (int I = 0; I < 100; ++I)
+    Off.Eng.maybeTick(N);
+  EXPECT_EQ(Off.Reg.counter("adaptive.epochs").value(), 0u);
+}
+
 TEST(AdaptiveDuty, UserArmedProfilerIsLeftAlone) {
   AdaptiveConfig C;
   C.ArmDutyTicks = 4;
@@ -272,73 +222,6 @@ TEST(AdaptiveDuty, UserArmedProfilerIsLeftAlone) {
     }
   }
   EXPECT_TRUE(Prof.enabled()); // and not disabled at engine teardown
-}
-
-TEST(AdaptiveDuty, ForceFlipAlternatesEveryTick) {
-  AdaptiveConfig C;
-  C.ForceFlip = true;
-  Rig R(C);
-  uint32_t Dom = R.Eng.addDomain();
-  EXPECT_EQ(R.Eng.domainBackend(Dom), Backend::Lock);
-  R.Eng.tick();
-  EXPECT_EQ(R.Eng.domainBackend(Dom), Backend::Stm);
-  R.Eng.tick();
-  EXPECT_EQ(R.Eng.domainBackend(Dom), Backend::Lock);
-  R.Eng.tick();
-  EXPECT_EQ(R.Eng.domainBackend(Dom), Backend::Stm);
-}
-
-//===----------------------------------------------------------------------===//
-// Drain gate
-//===----------------------------------------------------------------------===//
-
-TEST(AdaptiveGate, MidRunFlipsPreserveEveryIncrement) {
-  // Four threads increment one word through whichever backend the gate
-  // hands them while the main thread flips the domain back and forth.
-  // If lock-mode (plain access under the hierarchy) and STM-mode
-  // (atomic_ref word ops) executions ever overlapped, increments would
-  // be lost — and TSan would flag the plain/atomic race.
-  obs::MetricsRegistry Reg;
-  obs::LockProfiler Prof;
-  LockRuntime RT(1, &Reg, &Prof);
-  stm::Stm StmRt;
-  AdaptiveEngine Eng(RT, AdaptiveConfig{});
-  uint32_t Dom = Eng.addDomain();
-
-  constexpr unsigned NumThreads = 4;
-  constexpr uint64_t Iters = 15000;
-  uint64_t Word = 0;
-
-  std::vector<std::thread> Threads;
-  for (unsigned T = 0; T < NumThreads; ++T)
-    Threads.emplace_back([&] {
-      ThreadLockContext Ctx(RT);
-      uint32_t Slot = Eng.registerThread();
-      for (uint64_t I = 0; I < Iters; ++I) {
-        Backend B = Eng.enterSection(Slot, Dom);
-        if (B == Backend::Stm) {
-          unsigned Aborts = StmRt.atomically([&](stm::Transaction &Tx) {
-            Tx.write(&Word, Tx.read(&Word) + 1);
-          });
-          Eng.noteStm(Dom, 1, Aborts);
-        } else {
-          Ctx.toAcquire(LockDescriptor::fine(0, 0x40, true));
-          Ctx.acquireAll();
-          ++Word;
-          Ctx.releaseAll();
-        }
-        Eng.exitSection(Slot);
-      }
-      Eng.unregisterThread(Slot);
-    });
-
-  for (int Flip = 0; Flip < 48; ++Flip) {
-    Eng.forceBackend(Dom, (Flip & 1) ? Backend::Lock : Backend::Stm);
-    std::this_thread::yield();
-  }
-  for (std::thread &T : Threads)
-    T.join();
-  EXPECT_EQ(Word, uint64_t(NumThreads) * Iters);
 }
 
 } // namespace

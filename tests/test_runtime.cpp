@@ -225,44 +225,96 @@ TEST(LockNode, WriterBoundedWaitUnderReaderChurn) {
       << "writer starved by reader churn";
 }
 
-TEST(LockNode, FifoHoldsWhenHolderReleasesInsideSpinWindow) {
-  // A writer queues behind a reader's S grant, then a later reader queues
-  // behind the writer. The holder releases as soon as both are queued —
-  // inside the queued spin window, before either sleeps — and the writer
-  // must still be granted first: spinning must not let the compatible
-  // later reader overtake it.
+TEST(LockNode, CompatibleNewcomerBypassesQueueUnderStarvationBound) {
+  // A writer queues behind a reader's S grant. Until the writer (the
+  // queue head) has waited 1 ms, compatible newcomers take their grants
+  // at once instead of queueing behind it: here tryAcquire on this thread
+  // and acquire on a second one. The head's deadline starts after the
+  // writer stamps WriterT0, so an attempt whose both decisions are seen
+  // within 900 us of that stamp falls inside the bypass window; a slower
+  // one (the host descheduled a thread) proves nothing and is retried.
+  using Clock = std::chrono::steady_clock;
+  bool Checked = false;
+  for (unsigned Attempt = 0; Attempt < 50 && !Checked; ++Attempt) {
+    LockNode Node;
+    Node.acquire(Mode::S);
+    std::atomic<bool> WriterGo{false}, ReaderGo{false}, ReaderDone{false};
+    std::atomic<Clock::rep> WriterT0{0};
+    bool ReaderQueued = false;
+    std::thread Writer([&] {
+      while (!WriterGo.load())
+        std::this_thread::yield();
+      WriterT0.store(Clock::now().time_since_epoch().count());
+      Node.acquire(Mode::X);
+      Node.release(Mode::X);
+    });
+    std::thread Reader([&] {
+      while (!ReaderGo.load())
+        std::this_thread::yield();
+      ReaderQueued = Node.acquire(Mode::S);
+      ReaderDone.store(true);
+      Node.release(Mode::S);
+    });
+    WriterGo.store(true);
+    // Poll the queue gently: queuedCount takes the node mutex, and a
+    // tight polling loop would keep the waiters from enqueueing.
+    while (Node.queuedCount() < 1)
+      std::this_thread::yield();
+    Clock::time_point T0{Clock::duration(WriterT0.load())};
+    bool TryBypassed = Node.tryAcquire(Mode::S);
+    ReaderGo.store(true);
+    // The reader either finishes (it bypassed: the writer cannot be
+    // granted while this thread holds S) or queues behind the writer.
+    while (!ReaderDone.load() && Node.queuedCount() < 2)
+      std::this_thread::yield();
+    bool ReaderBypassed = ReaderDone.load();
+    bool InWindow = Clock::now() - T0 < std::chrono::microseconds(900);
+    if (TryBypassed)
+      Node.release(Mode::S);
+    Node.release(Mode::S);
+    Writer.join();
+    Reader.join();
+    EXPECT_EQ(Node.queuedCount(), 0u);
+    if (!InWindow)
+      continue;
+    Checked = true;
+    EXPECT_TRUE(TryBypassed) << "tryAcquire refused behind a fresh head";
+    EXPECT_TRUE(ReaderBypassed) << "acquire queued behind a fresh head";
+    EXPECT_FALSE(ReaderQueued);
+  }
+  EXPECT_TRUE(Checked) << "no attempt finished inside the bypass window";
+}
+
+TEST(LockNode, SleepingHeadPastBoundQueuesCompatibleArrivals) {
+  // A writer queues behind a reader's S grant and sleeps. Nothing is
+  // released while it sleeps, yet once it has waited past the 1 ms bound
+  // its timed park wakes it to close the node: a compatible reader that
+  // arrives afterwards queues behind the writer and is granted after it.
   LockNode Node;
   Node.acquire(Mode::S);
-  std::atomic<bool> WriterGo{false}, ReaderGo{false};
   std::atomic<unsigned> Order{0};
   unsigned WriterSeq = 0, ReaderSeq = 0;
-  bool WriterQueued = false, ReaderQueued = false;
+  bool ReaderQueued = false;
   std::thread Writer([&] {
-    while (!WriterGo.load())
-      detail::cpuRelax();
-    WriterQueued = Node.acquire(Mode::X);
+    Node.acquire(Mode::X);
     WriterSeq = Order.fetch_add(1);
     Node.release(Mode::X);
   });
+  while (Node.queuedCount() < 1)
+    std::this_thread::yield();
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
   std::thread Reader([&] {
-    while (!ReaderGo.load())
-      detail::cpuRelax();
     ReaderQueued = Node.acquire(Mode::S);
     ReaderSeq = Order.fetch_add(1);
     Node.release(Mode::S);
   });
-  WriterGo.store(true);
-  while (Node.queuedCount() < 1)
-    detail::cpuRelax();
-  ReaderGo.store(true);
   while (Node.queuedCount() < 2)
-    detail::cpuRelax();
+    std::this_thread::yield();
   Node.release(Mode::S);
   Writer.join();
   Reader.join();
-  EXPECT_TRUE(WriterQueued);
   EXPECT_TRUE(ReaderQueued);
-  EXPECT_EQ(WriterSeq, 0u) << "later reader overtook the queued writer";
+  EXPECT_EQ(WriterSeq, 0u) << "reader overtook a starving head";
   EXPECT_EQ(ReaderSeq, 1u);
   EXPECT_EQ(Node.queuedCount(), 0u);
 }
